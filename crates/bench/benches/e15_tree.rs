@@ -14,8 +14,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::{
-    search_compiled, search_compiled_cached, search_compiled_cached_unchecked,
-    search_compiled_flat_cached, LcCandidates, LcTransCache,
+    search_compiled, search_compiled_cached, search_compiled_flat_cached, LcCandidates,
+    LcTransCache, LcTreeEval,
 };
 use selc_cache::CacheStats;
 use selc_engine::{ParallelEngine, TreeEngine};
@@ -59,16 +59,14 @@ fn bench_tree_vs_flat(c: &mut Criterion) {
         search_compiled_flat_cached(&flat_eng, &cands, &fresh, Some(cert)).unwrap();
     assert_eq!((tree_ref.index, tree_ref.loss.clone()), (flat_ref.index, flat_ref.loss));
     assert_eq!(tree_val, flat_val);
-    // Certificate-driven pruning against the raw-boolean escape hatch:
-    // the two entry points must stay bit-identical.
+    // Certificate-driven pruning against the unchecked escape hatch:
+    // the two evaluator builders must stay bit-identical.
+    let unchecked_cache = LcTransCache::unbounded(8);
     // flow: certified (chain corpus, asserted above)
-    let (unchecked_ref, unchecked_val) = search_compiled_cached_unchecked(
-        &TreeEngine::with_threads(2),
-        &cands,
-        &LcTransCache::unbounded(8),
-        true,
-    )
-    .unwrap();
+    let unchecked = LcTreeEval::new(cands.clone()).assuming_nonneg_losses_unchecked();
+    let unchecked_ref =
+        TreeEngine::with_threads(2).search(&unchecked.with_cache(&unchecked_cache)).unwrap();
+    let unchecked_val = cands.run_candidate(unchecked_ref.index).ground_value();
     let (cert_ref, cert_val) = search_compiled_cached(
         &TreeEngine::with_threads(2),
         &cands,

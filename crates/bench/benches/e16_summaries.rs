@@ -20,7 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::{search_compiled, search_compiled_cached, LcCandidates, LcTransCache};
 use selc_cache::{CacheStats, SummaryStats};
-use selc_engine::TreeEngine;
+use selc_engine::{CancelToken, TreeEngine};
 use selc_games::alternating::{AbCache, GameTree};
 use std::time::{Duration, Instant};
 
@@ -136,24 +136,30 @@ fn bench_alphabeta_tt(c: &mut Criterion) {
     let t = GameTree::random(4, depth, 42);
     let reference = t.solve_backward();
     let warm = AbCache::unbounded(8);
-    assert_eq!(t.solve_alphabeta_tt(&warm), reference, "flagged table == backward induction");
-    assert_eq!(t.solve_alphabeta_tt(&warm), reference, "warm repeat");
+    let never = CancelToken::never();
+    let tt = |cache: &AbCache| {
+        let (play, value, leaves) =
+            t.solve_alphabeta_tt_cancellable(cache, &never).expect("a never token cannot cancel");
+        ((play, value), leaves)
+    };
+    assert_eq!(tt(&warm).0, reference, "flagged table == backward induction");
+    assert_eq!(tt(&warm).0, reference, "warm repeat");
 
     let mut g = c.benchmark_group(format!("e16_summaries/game4x{depth}"));
     g.bench_function("alphabeta", |b| b.iter(|| black_box(t.solve_alphabeta())));
     g.bench_function("alphabeta_tt_cold", |b| {
         b.iter(|| {
             let cache = AbCache::unbounded(8);
-            black_box(t.solve_alphabeta_tt(&cache))
+            black_box(tt(&cache))
         })
     });
-    g.bench_function("alphabeta_tt_warm", |b| b.iter(|| black_box(t.solve_alphabeta_tt(&warm))));
+    g.bench_function("alphabeta_tt_warm", |b| b.iter(|| black_box(tt(&warm))));
     g.finish();
 
     // One warm repeat's probe economics (delta against the bench churn):
     // a single root hit, zero leaves.
     let base = warm.stats();
-    let (_, _, warm_leaves) = t.solve_alphabeta_tt_stats(&warm);
+    let (_, warm_leaves) = tt(&warm);
     assert_eq!(warm_leaves, 0, "warm repeats answer from the root entry");
     report_cache(
         &format!("e16_summaries/game4x{depth}/alphabeta_tt_warm"),

@@ -74,9 +74,10 @@ pub struct AbEntry {
     pub flag: AbFlag,
 }
 
-/// A transposition table for [`GameTree::solve_alphabeta_tt`], keyed by
-/// the move path that names the node. Paths carry no tree identity, so
-/// one handle serves **one tree per epoch**: call
+/// A transposition table for
+/// [`GameTree::solve_alphabeta_tt_cancellable`], keyed by the move path
+/// that names the node. Paths carry no tree identity, so one handle
+/// serves **one tree per epoch**: call
 /// [`ShardedCache::advance_epoch`] before pointing it at a different
 /// tree (entries then lazily die, exactly like the engine caches).
 pub type AbCache = ShardedCache<Vec<usize>, AbEntry>;
@@ -237,48 +238,121 @@ impl GameTree {
     /// tie-breaking included. Works at any depth (no handler-effect
     /// limit).
     pub fn solve_alphabeta(&self) -> (Vec<usize>, f64) {
-        let (play, value, _) = self.solve_alphabeta_stats();
-        (play, value)
-    }
-
-    /// [`GameTree::solve_alphabeta`] plus the number of leaves actually
-    /// evaluated (what the window cuts saved).
-    pub fn solve_alphabeta_stats(&self) -> (Vec<usize>, f64, u64) {
-        let mut path = Vec::new();
-        let mut leaves = 0;
-        let (play, value) =
-            self.alphabeta(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves);
-        (play, value, leaves)
+        self.solve_alphabeta_from(&[])
     }
 
     /// Solves the subgame below the fixed move `prefix` with local
     /// strict-cutoff alpha–beta (a fresh window — cross-subtree bounds
     /// would make the cut set depend on sibling timing). Building block
     /// of the parallel full-tree solver in [`crate::parallel`].
-    pub fn solve_alphabeta_from(&self, prefix: &[usize]) -> (Vec<usize>, f64) {
+    pub(crate) fn solve_alphabeta_from(&self, prefix: &[usize]) -> (Vec<usize>, f64) {
         let mut path = prefix.to_vec();
         let mut leaves = 0;
-        self.alphabeta(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves)
+        let never = selc_engine::CancelToken::never();
+        self.alphabeta(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves, None, &never)
+            .expect("a never token cannot cancel")
     }
 
+    /// [`GameTree::solve_alphabeta`] through a flagged transposition
+    /// table, under a `selc_engine::CancelToken` checked at every
+    /// interior node like the tree engine's walker. Returns the play,
+    /// its value and the number of leaves actually evaluated (0 on a
+    /// warm repeat).
+    ///
+    /// Every interior resolution is stored as an [`AbEntry`] and later
+    /// visits probe before searching — `Exact` entries answer outright,
+    /// `Lower`/`Upper` entries re-trigger the cut they came from when
+    /// they still clear the live window. The root's window is infinite,
+    /// so the root always stores `Exact` and a warm repeat is O(1): one
+    /// probe, zero leaves. Bit-identity with [`GameTree::solve_backward`]
+    /// (play *and* value, leftmost ties) is preserved because bound
+    /// entries are reused only strictly outside the live window —
+    /// positions the strict-cutoff search discards or cuts on anyway —
+    /// while values inside the closed window always come from `Exact`
+    /// entries or a full sub-search.
+    ///
+    /// Returns `None` when the token fired mid-solve: minimax has no
+    /// sound "best seen so far" (an unexplored sibling can change every
+    /// ancestor's value), so a cancelled solve yields nothing rather
+    /// than a wrong play. Soundness against the table: an aborted node
+    /// returns **before** computing or storing a value, and the abort
+    /// propagates straight up, so no entry derived from a
+    /// partially-searched node is ever stored — entries written by
+    /// completed siblings earlier in the solve are real resolutions and
+    /// stay valid for the next request.
+    pub fn solve_alphabeta_tt_cancellable(
+        &self,
+        cache: &AbCache,
+        cancel: &selc_engine::CancelToken,
+    ) -> Option<(Vec<usize>, f64, u64)> {
+        let _span = trace::span(&AB_SOLVE_SPAN, self.depth as u64);
+        let mut path = Vec::new();
+        let mut leaves = 0;
+        let solved = self.alphabeta(
+            &mut path,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            &mut leaves,
+            Some(cache),
+            cancel,
+        );
+        AB_LEAVES.add(leaves);
+        match solved {
+            Some((play, value)) => {
+                AB_SOLVES.inc();
+                Some((play, value, leaves))
+            }
+            None => {
+                AB_CANCELLED.inc();
+                None
+            }
+        }
+    }
+
+    /// The one alpha–beta recursion behind every solver: resolves the
+    /// node at `path` under the window `(alpha0, beta0)`, counting
+    /// evaluated leaves. With a `cache` it probes before searching and
+    /// stores the resolution, flagged against the original window; a
+    /// fired `cancel` unwinds the whole solve with `None`.
     fn alphabeta(
         &self,
         path: &mut Vec<usize>,
-        alpha: f64,
-        beta: f64,
+        alpha0: f64,
+        beta0: f64,
         leaves: &mut u64,
-    ) -> (Vec<usize>, f64) {
+        cache: Option<&AbCache>,
+        cancel: &selc_engine::CancelToken,
+    ) -> Option<(Vec<usize>, f64)> {
         if path.len() == self.depth {
             *leaves += 1;
-            return (path.clone(), self.leaf(path));
+            return Some((path.clone(), self.leaf(path)));
+        }
+        if cancel.is_cancelled() {
+            return None; // nothing computed here, nothing stored
+        }
+        if let Some(e) = cache.and_then(|c| c.lookup(path)) {
+            // An `Exact` hit substitutes the true resolution wherever
+            // the fresh search would have produced one; a bound hit is
+            // honoured only when it clears the *live* window strictly,
+            // i.e. exactly when the fresh search's fail-soft value
+            // would land on the same side and trigger the same cut.
+            let usable = match e.flag {
+                AbFlag::Exact => true,
+                AbFlag::Lower => e.value > beta0,
+                AbFlag::Upper => e.value < alpha0,
+            };
+            if usable {
+                return Some((e.play, e.value));
+            }
         }
         let maximising = path.len().is_multiple_of(2);
-        let (mut alpha, mut beta) = (alpha, beta);
+        let (mut alpha, mut beta) = (alpha0, beta0);
         let mut best: Option<(Vec<usize>, f64)> = None;
         for m in 0..self.branching {
             path.push(m);
-            let (p, v) = self.alphabeta(path, alpha, beta, leaves);
+            let r = self.alphabeta(path, alpha, beta, leaves, cache, cancel);
             path.pop();
+            let (p, v) = r?; // a cancelled child unwinds the whole solve
             let better = match &best {
                 None => true,
                 Some((_, bv)) => {
@@ -305,223 +379,18 @@ impl GameTree {
                 }
             }
         }
-        best.expect("branching > 0")
-    }
-
-    /// [`GameTree::solve_alphabeta`] through a flagged transposition
-    /// table: every interior resolution is stored as an [`AbEntry`] and
-    /// later visits probe before searching — `Exact` entries answer
-    /// outright, `Lower`/`Upper` entries re-trigger the cut they came
-    /// from when they still clear the live window. The root's window is
-    /// infinite, so the root always stores `Exact` and a warm repeat is
-    /// O(1): one probe, zero leaves.
-    ///
-    /// Bit-identity with [`GameTree::solve_backward`] (play *and*
-    /// value, leftmost ties) is preserved because bound entries are
-    /// reused only strictly outside the live window — positions the
-    /// strict-cutoff search discards or cuts on anyway — while values
-    /// inside the closed window always come from `Exact` entries or a
-    /// full sub-search.
-    pub fn solve_alphabeta_tt(&self, cache: &AbCache) -> (Vec<usize>, f64) {
-        let (play, value, _) = self.solve_alphabeta_tt_stats(cache);
-        (play, value)
-    }
-
-    /// [`GameTree::solve_alphabeta_tt`] plus the number of leaves
-    /// actually evaluated (0 on a warm repeat).
-    pub fn solve_alphabeta_tt_stats(&self, cache: &AbCache) -> (Vec<usize>, f64, u64) {
-        let _span = trace::span(&AB_SOLVE_SPAN, self.depth as u64);
-        let mut path = Vec::new();
-        let mut leaves = 0;
-        let (play, value) =
-            self.alphabeta_tt(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves, cache);
-        AB_SOLVES.inc();
-        AB_LEAVES.add(leaves);
-        (play, value, leaves)
-    }
-
-    /// [`GameTree::solve_alphabeta_tt_stats`] under a
-    /// `selc_engine::CancelToken`, checked at every interior node like
-    /// the tree engine's walker. Returns `None` when the token fired
-    /// mid-solve: minimax has no sound "best seen so far" (an unexplored
-    /// sibling can change every ancestor's value), so a cancelled solve
-    /// yields nothing rather than a wrong play. Soundness against the
-    /// table: an aborted node returns **before** computing or storing a
-    /// value, and the abort propagates straight up, so no entry derived
-    /// from a partially-searched node is ever stored — entries written
-    /// by completed siblings earlier in the solve are real resolutions
-    /// and stay valid for the next request.
-    pub fn solve_alphabeta_tt_cancellable(
-        &self,
-        cache: &AbCache,
-        cancel: &selc_engine::CancelToken,
-    ) -> Option<(Vec<usize>, f64, u64)> {
-        let _span = trace::span(&AB_SOLVE_SPAN, self.depth as u64);
-        let mut path = Vec::new();
-        let mut leaves = 0;
-        let solved = self.alphabeta_tt_cancellable_at(
-            &mut path,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            &mut leaves,
-            cache,
-            cancel,
-        );
-        AB_LEAVES.add(leaves);
-        match solved {
-            Some((play, value)) => {
-                AB_SOLVES.inc();
-                Some((play, value, leaves))
-            }
-            None => {
-                AB_CANCELLED.inc();
-                None
-            }
-        }
-    }
-
-    fn alphabeta_tt_cancellable_at(
-        &self,
-        path: &mut Vec<usize>,
-        alpha0: f64,
-        beta0: f64,
-        leaves: &mut u64,
-        cache: &AbCache,
-        cancel: &selc_engine::CancelToken,
-    ) -> Option<(Vec<usize>, f64)> {
-        if path.len() == self.depth {
-            *leaves += 1;
-            return Some((path.clone(), self.leaf(path)));
-        }
-        if cancel.is_cancelled() {
-            return None; // nothing computed here, nothing stored
-        }
-        if let Some(e) = cache.lookup(path) {
-            let usable = match e.flag {
-                AbFlag::Exact => true,
-                AbFlag::Lower => e.value > beta0,
-                AbFlag::Upper => e.value < alpha0,
-            };
-            if usable {
-                return Some((e.play, e.value));
-            }
-        }
-        let maximising = path.len().is_multiple_of(2);
-        let (mut alpha, mut beta) = (alpha0, beta0);
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        for m in 0..self.branching {
-            path.push(m);
-            let r = self.alphabeta_tt_cancellable_at(path, alpha, beta, leaves, cache, cancel);
-            path.pop();
-            let (p, v) = r?; // a cancelled child unwinds the whole solve
-            let better = match &best {
-                None => true,
-                Some((_, bv)) => {
-                    if maximising {
-                        v > *bv
-                    } else {
-                        v < *bv
-                    }
-                }
-            };
-            if better {
-                best = Some((p, v));
-            }
-            let bv = best.as_ref().expect("just set").1;
-            if maximising {
-                alpha = alpha.max(bv);
-                if bv > beta {
-                    break;
-                }
-            } else {
-                beta = beta.min(bv);
-                if bv < alpha {
-                    break;
-                }
-            }
-        }
         let (play, value) = best.expect("branching > 0");
-        let flag = if value > beta0 {
-            AbFlag::Lower
-        } else if value < alpha0 {
-            AbFlag::Upper
-        } else {
-            AbFlag::Exact
-        };
-        cache.store(path.clone(), AbEntry { play: play.clone(), value, flag });
+        if let Some(cache) = cache {
+            let flag = if value > beta0 {
+                AbFlag::Lower
+            } else if value < alpha0 {
+                AbFlag::Upper
+            } else {
+                AbFlag::Exact
+            };
+            cache.store(path.clone(), AbEntry { play: play.clone(), value, flag });
+        }
         Some((play, value))
-    }
-
-    fn alphabeta_tt(
-        &self,
-        path: &mut Vec<usize>,
-        alpha0: f64,
-        beta0: f64,
-        leaves: &mut u64,
-        cache: &AbCache,
-    ) -> (Vec<usize>, f64) {
-        if path.len() == self.depth {
-            *leaves += 1;
-            return (path.clone(), self.leaf(path));
-        }
-        if let Some(e) = cache.lookup(path) {
-            // An `Exact` hit substitutes the true resolution wherever
-            // the fresh search would have produced one; a bound hit is
-            // honoured only when it clears the *live* window strictly,
-            // i.e. exactly when the fresh search's fail-soft value
-            // would land on the same side and trigger the same cut.
-            let usable = match e.flag {
-                AbFlag::Exact => true,
-                AbFlag::Lower => e.value > beta0,
-                AbFlag::Upper => e.value < alpha0,
-            };
-            if usable {
-                return (e.play, e.value);
-            }
-        }
-        let maximising = path.len().is_multiple_of(2);
-        let (mut alpha, mut beta) = (alpha0, beta0);
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        for m in 0..self.branching {
-            path.push(m);
-            let (p, v) = self.alphabeta_tt(path, alpha, beta, leaves, cache);
-            path.pop();
-            let better = match &best {
-                None => true,
-                Some((_, bv)) => {
-                    if maximising {
-                        v > *bv
-                    } else {
-                        v < *bv
-                    }
-                }
-            };
-            if better {
-                best = Some((p, v));
-            }
-            let bv = best.as_ref().expect("just set").1;
-            if maximising {
-                alpha = alpha.max(bv);
-                if bv > beta {
-                    break;
-                }
-            } else {
-                beta = beta.min(bv);
-                if bv < alpha {
-                    break;
-                }
-            }
-        }
-        let (play, value) = best.expect("branching > 0");
-        let flag = if value > beta0 {
-            AbFlag::Lower
-        } else if value < alpha0 {
-            AbFlag::Upper
-        } else {
-            AbFlag::Exact
-        };
-        cache.store(path.clone(), AbEntry { play: play.clone(), value, flag });
-        (play, value)
     }
 
     /// The game as a `Sel` program over the per-ply effects.
@@ -606,6 +475,31 @@ impl GameTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selc_engine::CancelToken;
+
+    /// The private core with no cancellation: `((play, value), leaves)`.
+    fn core(t: &GameTree, cache: Option<&AbCache>) -> ((Vec<usize>, f64), u64) {
+        let mut leaves = 0;
+        let solved = t
+            .alphabeta(
+                &mut Vec::new(),
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                &mut leaves,
+                cache,
+                &CancelToken::never(),
+            )
+            .expect("a never token cannot cancel");
+        (solved, leaves)
+    }
+
+    /// The public table solve under a token that cannot fire.
+    fn tt(t: &GameTree, cache: &AbCache) -> ((Vec<usize>, f64), u64) {
+        let (play, value, leaves) = t
+            .solve_alphabeta_tt_cancellable(cache, &CancelToken::never())
+            .expect("a never token cannot cancel");
+        ((play, value), leaves)
+    }
 
     #[test]
     fn depth_two_matches_paper_shape() {
@@ -688,12 +582,12 @@ mod tests {
     #[test]
     fn alphabeta_actually_cuts() {
         let t = GameTree::random(4, 6, 9);
-        let (_, _, leaves) = t.solve_alphabeta_stats();
+        let (_, leaves) = core(&t, None);
         let total = t.leaves.len() as u64;
         assert!(leaves < total, "window cuts must skip leaves: {leaves}/{total}");
         // And a depth-1 tree degenerates to a full scan.
         let t1 = GameTree::random(5, 1, 0);
-        let (_, _, l1) = t1.solve_alphabeta_stats();
+        let (_, l1) = core(&t1, None);
         assert_eq!(l1, 5);
     }
 
@@ -730,12 +624,12 @@ mod tests {
                 let reference = t.solve_backward();
                 let cache = AbCache::unbounded(4);
                 assert_eq!(
-                    t.solve_alphabeta_tt(&cache),
+                    tt(&t, &cache).0,
                     reference,
                     "cold, seed {seed} b {branching} d {depth}"
                 );
                 assert_eq!(
-                    t.solve_alphabeta_tt(&cache),
+                    tt(&t, &cache).0,
                     reference,
                     "warm, seed {seed} b {branching} d {depth}"
                 );
@@ -749,8 +643,8 @@ mod tests {
             let t = tied_tree(3, 5, seed);
             let reference = t.solve_backward();
             let cache = AbCache::unbounded(4);
-            assert_eq!(t.solve_alphabeta_tt(&cache), reference, "cold, seed {seed}");
-            assert_eq!(t.solve_alphabeta_tt(&cache), reference, "warm, seed {seed}");
+            assert_eq!(tt(&t, &cache).0, reference, "cold, seed {seed}");
+            assert_eq!(tt(&t, &cache).0, reference, "warm, seed {seed}");
         }
     }
 
@@ -758,12 +652,16 @@ mod tests {
     fn warm_repeat_answers_from_the_root_entry() {
         let t = GameTree::random(3, 6, 7);
         let cache = AbCache::unbounded(4);
-        let (play, value, cold_leaves) = t.solve_alphabeta_tt_stats(&cache);
+        let (solved, cold_leaves) = tt(&t, &cache);
         assert!(cold_leaves > 0);
+        // The table and the table-free path are one search: a cold
+        // table has nothing to answer from, so it walks exactly the
+        // leaves the table-free core walks.
+        assert_eq!((solved.clone(), cold_leaves), core(&t, None));
         // The root window is infinite, so the root entry is Exact and a
         // warm repeat resolves at the root: zero leaves evaluated.
-        let (wplay, wvalue, warm_leaves) = t.solve_alphabeta_tt_stats(&cache);
-        assert_eq!((wplay, wvalue), (play, value));
+        let (warm, warm_leaves) = tt(&t, &cache);
+        assert_eq!(warm, solved);
         assert_eq!(warm_leaves, 0, "warm repeat must be answered from the root entry");
     }
 
@@ -774,17 +672,13 @@ mod tests {
         let a = GameTree::random(2, 6, 11);
         let b = GameTree::random(2, 6, 12);
         let cache = AbCache::unbounded(4);
-        assert_eq!(t_solve(&a, &cache), a.solve_backward());
+        assert_eq!(tt(&a, &cache).0, a.solve_backward());
         cache.advance_epoch();
-        let (play, value, leaves) = b.solve_alphabeta_tt_stats(&cache);
+        let (solved, leaves) = tt(&b, &cache);
         assert!(leaves > 0, "stale entries must not answer the new tree");
-        assert_eq!((play, value), b.solve_backward());
-        let (_, _, warm) = b.solve_alphabeta_tt_stats(&cache);
+        assert_eq!(solved, b.solve_backward());
+        let (_, warm) = tt(&b, &cache);
         assert_eq!(warm, 0);
-    }
-
-    fn t_solve(t: &GameTree, cache: &AbCache) -> (Vec<usize>, f64) {
-        t.solve_alphabeta_tt(cache)
     }
 
     #[test]
@@ -793,13 +687,10 @@ mod tests {
             let t = GameTree::random(3, 5, seed);
             let reference = t.solve_backward();
             let cache = AbCache::unbounded(4);
-            let (play, value, _) = t
-                .solve_alphabeta_tt_cancellable(&cache, &selc_engine::CancelToken::never())
-                .expect("never token cannot cancel");
-            assert_eq!((play, value), reference, "seed {seed}");
-            // And the entries it stored warm the plain solver.
-            let (_, _, warm) = t.solve_alphabeta_tt_stats(&cache);
-            assert_eq!(warm, 0, "seed {seed}");
+            assert_eq!(tt(&t, &cache).0, reference, "seed {seed}");
+            // And the entries it stored answer the core's table probe.
+            let (solved, warm) = core(&t, Some(&cache));
+            assert_eq!((solved, warm), (reference, 0), "seed {seed}");
         }
     }
 
@@ -808,21 +699,20 @@ mod tests {
         let t = GameTree::random(3, 6, 5);
         let reference = t.solve_backward();
         let cache = AbCache::unbounded(4);
-        let dead = selc_engine::CancelToken::never();
+        let dead = CancelToken::never();
         dead.cancel();
         assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &dead), None);
         // A token that fires mid-solve (after some entries are stored)
         // must also abort without a wrong answer or a poisoned entry:
         // simulate by cancelling between two solves of sibling subgames.
-        let mid = selc_engine::CancelToken::never();
+        let mid = CancelToken::never();
         let warmup = GameTree::random(3, 6, 5);
         let _ = warmup.solve_alphabeta_tt_cancellable(&cache, &mid);
         mid.cancel();
         assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &mid), None);
         // Whatever the aborted runs left behind, an un-cancelled solve
         // on the same handle is still bit-identical to the reference.
-        let (play, value, _) = t.solve_alphabeta_tt_stats(&cache);
-        assert_eq!((play, value), reference);
+        assert_eq!(tt(&t, &cache).0, reference);
     }
 
     #[test]
@@ -834,7 +724,7 @@ mod tests {
             let reference = t.solve_backward();
             let cache = AbCache::clock_lru(2, 8);
             for round in 0..3 {
-                assert_eq!(t.solve_alphabeta_tt(&cache), reference, "seed {seed} round {round}");
+                assert_eq!(tt(&t, &cache).0, reference, "seed {seed} round {round}");
             }
         }
     }

@@ -112,7 +112,7 @@ pub fn queens_parallel_with(engine: &impl Engine, n: usize) -> Vec<usize> {
 /// plies — `branching^split` independent work items claimed from the
 /// engine's saturating subtree queue ([`parallel_subtrees`], the same
 /// distribution the λC tree search uses) — and solves each with local
-/// strict-cutoff alpha–beta ([`GameTree::solve_alphabeta_from`]).
+/// strict-cutoff alpha–beta (`GameTree::solve_alphabeta_from`).
 /// Subtree results come back in lexicographic move order and the shared
 /// top plies fold by backward induction over that fixed order, so the
 /// play and value are bit-identical to [`GameTree::solve_backward`]

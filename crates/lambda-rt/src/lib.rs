@@ -29,6 +29,14 @@
 //!    search (tree and flat share one table), collapsing duplicate
 //!    candidates within a search and replaying nothing across searches.
 //!
+//! The four `search_compiled*` functions (tree or flat, with or without
+//! a table) are conveniences over one evaluator per walk. Every other
+//! concern is a builder call on [`LcTreeEval`] (or [`CompiledEval`]):
+//! `with_cache`, `with_nonneg_certificate`, and the lint-gated
+//! `assuming_nonneg_losses_unchecked`. A cancellable search hands the
+//! built evaluator to `TreeEngine::search_with` with its
+//! `selc_engine::CancelToken`; the serve layer does exactly that.
+//!
 //! ```
 //! use lambda_rt::{search_compiled, LcCandidates};
 //! use selc_engine::TreeEngine;
@@ -52,10 +60,7 @@ pub mod tree;
 pub use bridge::{LcCandidates, LcValue};
 pub use loss::{encode_scalar, OrdLossVal};
 pub use search::{
-    search_compiled_flat, search_compiled_flat_cached, search_compiled_flat_cached_unchecked,
-    CompiledEval, LcEntry, LcTransCache, SUMMARY_TAG,
+    search_compiled_flat, search_compiled_flat_cached, CompiledEval, LcEntry, LcTransCache,
+    SUMMARY_TAG,
 };
-pub use tree::{
-    search_compiled, search_compiled_cached, search_compiled_cached_unchecked,
-    search_compiled_cached_with, LcTreeEval,
-};
+pub use tree::{search_compiled, search_compiled_cached, LcTreeEval};

@@ -235,29 +235,6 @@ pub fn search_compiled_flat_cached<G: Engine>(
     Some((outcome, value))
 }
 
-/// [`search_compiled_flat_cached`] with the pruning decision as a raw
-/// boolean: `nonneg = true` asserts non-negative emitted losses without
-/// a certificate (see
-/// [`CompiledEval::assuming_nonneg_losses_unchecked`]). Kept for
-/// differential tests that deliberately force both settings.
-pub fn search_compiled_flat_cached_unchecked<G: Engine>(
-    engine: &G,
-    cands: &LcCandidates,
-    cache: &LcTransCache,
-    nonneg: bool,
-) -> Option<(Outcome<OrdLossVal>, LcValue)> {
-    let mut eval = CompiledEval::new(cands.clone()).with_cache(cache);
-    if nonneg {
-        // The wrapper *is* the lint-gated escape hatch; the claim is the
-        // caller's, made at their call site.
-        // selc-lint: allow(flow-uncertified-nonneg)
-        eval = eval.assuming_nonneg_losses_unchecked();
-    }
-    let outcome = engine.search(cands.space(), &eval)?;
-    let value = cands.run_candidate(outcome.index).ground_value();
-    Some((outcome, value))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,15 +333,12 @@ mod tests {
         let cands = chain_candidates(7);
         let (plain, _) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
         let cache = LcTransCache::unbounded(2);
-        // The unchecked entry point must stay bit-identical to the
-        // certified one. // flow: certified (chain corpus, asserted above)
-        let (pruned, _) = search_compiled_flat_cached_unchecked(
-            &SequentialEngine::pruning(),
-            &cands,
-            &cache,
-            true,
-        )
-        .unwrap();
+        // The unchecked evaluator must stay bit-identical to the
+        // certified one.
+        // flow: certified (chain corpus, asserted above)
+        let eval =
+            CompiledEval::new(cands.clone()).with_cache(&cache).assuming_nonneg_losses_unchecked();
+        let pruned = SequentialEngine::pruning().search(cands.space(), &eval).unwrap();
         assert_eq!((pruned.index, pruned.loss.clone()), (plain.index, plain.loss));
         assert!(
             pruned.stats.pruned > 0,

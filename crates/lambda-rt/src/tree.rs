@@ -39,7 +39,7 @@ use lambda_c::machine::{ChoicePoint, Explored, MachinePrune};
 use lambda_c::MachError;
 use selc_cache::{CacheStats, SubtreeSummary};
 use selc_engine::tree::{SummaryProbe, TreeEngine, TreeEval, TreeStep};
-use selc_engine::{CancelToken, Outcome, SearchResult};
+use selc_engine::Outcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 
@@ -287,58 +287,12 @@ pub fn search_compiled_cached(
     Some((outcome, value))
 }
 
-/// [`search_compiled_cached`] with the pruning decision as a raw
-/// boolean: `nonneg = true` asserts non-negative emitted losses without
-/// a certificate (see
-/// [`LcTreeEval::assuming_nonneg_losses_unchecked`]). Kept for
-/// differential tests that deliberately force both settings.
-pub fn search_compiled_cached_unchecked(
-    engine: &TreeEngine,
-    cands: &LcCandidates,
-    cache: &LcTransCache,
-    nonneg: bool,
-) -> Option<(Outcome<OrdLossVal>, LcValue)> {
-    let mut eval = LcTreeEval::new(cands.clone()).with_cache(cache);
-    if nonneg {
-        // The wrapper *is* the lint-gated escape hatch; the claim is the
-        // caller's, made at their call site.
-        // selc-lint: allow(flow-uncertified-nonneg)
-        eval = eval.assuming_nonneg_losses_unchecked();
-    }
-    let outcome = engine.search(&eval)?;
-    let value = cands.run_candidate(outcome.index).ground_value();
-    Some((outcome, value))
-}
-
-/// [`search_compiled_cached`] under a [`CancelToken`]: the request-budget
-/// entry point of the serve layer. The token is checked at every
-/// interior node of the walk, so a deadline or disconnect aborts within
-/// one machine segment; a cancelled search returns
-/// [`SearchResult::Cancelled`] with the best leaf seen so far (a really
-/// achieved loss, not the argmin). Everything a cancelled run stored —
-/// completed leaves, fully-evaluated subtree summaries, the best-seen
-/// mirror — is sound, so the table stays warm and unpoisoned for the
-/// next request (see `selc_engine::cancel`).
-pub fn search_compiled_cached_with(
-    engine: &TreeEngine,
-    cands: &LcCandidates,
-    cache: &LcTransCache,
-    cert: Option<&NonNegLosses>,
-    cancel: &CancelToken,
-) -> SearchResult<OrdLossVal> {
-    let mut eval = LcTreeEval::new(cands.clone()).with_cache(cache);
-    if let Some(cert) = cert {
-        eval = eval.with_nonneg_certificate(cert);
-    }
-    engine.search_with(&eval, cancel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::search::{search_compiled_flat, search_compiled_flat_cached};
     use lambda_c::testgen;
-    use selc_engine::SequentialEngine;
+    use selc_engine::{CancelToken, SequentialEngine};
 
     fn chain_candidates(choices: u32) -> LcCandidates {
         let p = testgen::deep_decide_chain(choices);
@@ -409,21 +363,22 @@ mod tests {
         let (reference, _) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
         let cache = LcTransCache::unbounded(4);
         let cert = cands.certificate().expect("chain corpus is certified");
+        let eval =
+            || LcTreeEval::new(cands.clone()).with_cache(&cache).with_nonneg_certificate(cert);
         // A pre-expired deadline: the walk aborts at its first interior
         // node, so (at most) a stray leaf scores and no summary lands.
         let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
         let engine = TreeEngine::with_threads(2);
-        let result = search_compiled_cached_with(&engine, &cands, &cache, Some(cert), &expired);
+        let result = engine.search_with(&eval(), &expired);
         assert!(result.was_cancelled());
         // The very next un-cancelled search over the same warm handle is
         // bit-identical to the sequential cold reference — whatever the
         // aborted run cached was sound.
         let (out, _) = search_compiled_cached(&engine, &cands, &cache, Some(cert)).unwrap();
         assert_eq!((out.index, out.loss.clone()), (reference.index, reference.loss.clone()));
-        // And an explicitly complete run through the cancellable entry
-        // reports Complete with the same winner.
-        let again =
-            search_compiled_cached_with(&engine, &cands, &cache, Some(cert), &CancelToken::never());
+        // And an explicitly complete run under a token reports Complete
+        // with the same winner.
+        let again = engine.search_with(&eval(), &CancelToken::never());
         assert!(!again.was_cancelled());
         let out = again.into_outcome().unwrap();
         assert_eq!((out.index, out.loss), (reference.index, reference.loss));

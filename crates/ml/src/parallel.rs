@@ -29,8 +29,8 @@ use crate::hyper::{probe_grid_argmin, Lr};
 use crate::linreg::sgd_step;
 use selc::{handle, CacheStats, Handler, MemoChoice, Replay, Sel, ShardedCache, SharedCache};
 use selc_engine::{
-    CacheStatsSink, CancelToken, CandidateEval, Engine, Outcome, ParallelEngine, SearchResult,
-    SearchStats, SharedBound,
+    CacheStatsSink, CancelToken, CandidateEval, Engine, Outcome, SearchResult, SearchStats,
+    SharedBound,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -271,21 +271,26 @@ where
     TuneOutcome { alpha, err, stats }
 }
 
-/// Evaluator for [`tune_training_run`]: candidate `i` is `grid[i]`; its
-/// loss is the cumulative squared error along a full handler-SGD
-/// training run. The running total is monotone non-decreasing, so it is
-/// consulted against the shared bound after every data point and the
-/// run aborts (`None`) as soon as it is strictly dominated.
-struct TrainEval {
+/// Evaluator for [`tune_training_run_with`]: candidate `i` is
+/// `grid[i]`; its loss is the cumulative squared error along a full
+/// handler-SGD training run. The running total is monotone
+/// non-decreasing, so it is consulted against the shared bound after
+/// every data point and the run aborts (`None`) as soon as it is
+/// strictly dominated (an unpruned engine never sets the bound, so it
+/// never aborts). With a `cache`, completed totals are stored under the
+/// rate's bits and answered from there; aborted (pruned) runs are not —
+/// "dominated right now" is a fact about the current bound, not a loss.
+struct TrainEval<'c> {
     grid: Vec<f64>,
     data: Arc<Dataset>,
     init: (f64, f64),
     epochs: usize,
-    prune: bool,
+    cache: Option<&'c ShardedCache<u64, f64>>,
+    base: CacheStats,
 }
 
-impl TrainEval {
-    fn train(&self, alpha: f64, bound: Option<&SharedBound<f64>>) -> Option<f64> {
+impl TrainEval<'_> {
+    fn train(&self, alpha: f64, bound: &SharedBound<f64>) -> Option<f64> {
         let mut p = vec![self.init.0, self.init.1];
         let mut total = 0.0_f64;
         for _ in 0..self.epochs {
@@ -293,10 +298,8 @@ impl TrainEval {
                 p = sgd_step(p, x, y, alpha);
                 let e = y - (p[0] * x + p[1]);
                 total += e * e;
-                if let Some(b) = bound {
-                    if b.dominated(&total) {
-                        return None;
-                    }
+                if bound.dominated(&total) {
+                    return None;
                 }
             }
         }
@@ -304,16 +307,28 @@ impl TrainEval {
     }
 }
 
-impl CandidateEval<f64> for TrainEval {
+impl CandidateEval<f64> for TrainEval<'_> {
     fn eval(&self, i: usize, bound: &SharedBound<f64>) -> Option<f64> {
-        self.train(self.grid[i], self.prune.then_some(bound))
+        let Some(cache) = self.cache else { return self.train(self.grid[i], bound) };
+        let key = self.grid[i].to_bits();
+        if let Some(total) = cache.lookup(&key) {
+            return Some(total);
+        }
+        let total = self.train(self.grid[i], bound)?;
+        cache.store(key, total);
+        Some(total)
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        self.cache.map(|c| c.stats().since(&self.base)).unwrap_or_default()
     }
 }
 
 /// Grid search over whole SGD training runs (handler SGD, one run per
 /// rate), scored by cumulative training loss, with branch-and-bound
 /// early abort of dominated runs. Returns the winning rate, its total
-/// loss, and the telemetry (`stats.pruned` counts aborted runs).
+/// loss, and the telemetry (`stats.pruned` counts aborted runs). The
+/// no-cache, never-cancel form of [`tune_training_run_with`].
 ///
 /// # Panics
 ///
@@ -325,73 +340,26 @@ pub fn tune_training_run<G: Engine>(
     init: (f64, f64),
     epochs: usize,
 ) -> TuneOutcome {
-    assert!(!grid.is_empty(), "tune_training_run needs at least one candidate rate");
-    let n = grid.len();
-    let eval = TrainEval { grid, data: Arc::new(data.clone()), init, epochs, prune: true };
-    let out = engine.search(n, &eval).expect("non-empty grid");
-    TuneOutcome { alpha: eval.grid[out.index], err: out.loss, stats: out.stats }
+    tune_training_run_with(engine, grid, data, init, epochs, None, &CancelToken::never())
+        .expect("a never token cannot cancel")
 }
 
-/// Evaluator for [`tune_training_run_cached`]: a [`TrainEval`] behind a
-/// shared rate→total-loss cache. Completed runs are cached; aborted
-/// (pruned) runs are not — "dominated right now" is a fact about the
-/// current bound, not a loss.
-struct CachedTrainEval<'c> {
-    inner: TrainEval,
-    cache: &'c ShardedCache<u64, f64>,
-    base: CacheStats,
-}
-
-impl CandidateEval<f64> for CachedTrainEval<'_> {
-    fn eval(&self, i: usize, bound: &SharedBound<f64>) -> Option<f64> {
-        let key = self.inner.grid[i].to_bits();
-        if let Some(total) = self.cache.lookup(&key) {
-            return Some(total);
-        }
-        let total = self.inner.train(self.inner.grid[i], self.inner.prune.then_some(bound))?;
-        self.cache.store(key, total);
-        Some(total)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats().since(&self.base)
-    }
-}
-
-/// [`tune_training_run`] against a shared rate→total-loss cache: a rate
-/// any earlier run (or concurrent worker) already trained to completion
-/// is answered from the cache instead of re-training. Repeated tuning
-/// over overlapping grids — the cross-run reuse pattern — pays for each
-/// distinct rate once per cache epoch. Winners stay bit-identical to the
-/// uncached search (cached totals are the totals the training loop
-/// computed).
+/// [`tune_training_run`] against an optional shared rate→total-loss
+/// cache and under a cancellation token.
 ///
-/// # Panics
-///
-/// Panics if `grid` is empty.
-pub fn tune_training_run_cached<G: Engine>(
-    engine: &G,
-    grid: Vec<f64>,
-    data: &Dataset,
-    init: (f64, f64),
-    epochs: usize,
-    cache: &ShardedCache<u64, f64>,
-) -> TuneOutcome {
-    assert!(!grid.is_empty(), "tune_training_run_cached needs at least one candidate rate");
-    let n = grid.len();
-    let inner = TrainEval { grid, data: Arc::new(data.clone()), init, epochs, prune: true };
-    let eval = CachedTrainEval { inner, cache, base: cache.stats() };
-    let out = engine.search(n, &eval).expect("non-empty grid");
-    TuneOutcome { alpha: eval.inner.grid[out.index], err: out.loss, stats: out.stats }
-}
-
-/// [`tune_training_run`] under a deadline: the engine checks `cancel`
-/// candidate-by-candidate alongside the shared bound. A completed search
-/// returns `Some` with the usual bit-identical winner; a cancelled one
-/// returns `None` — a partial grid scan has no deterministic winner (the
-/// true minimiser may sit among the unevaluated rates), so a timed-out
-/// tune yields nothing rather than a rate that depends on where the
-/// clock fired.
+/// * **Cache.** A rate any earlier run (or concurrent worker) already
+///   trained to completion is answered from `cache` instead of
+///   re-training. Repeated tuning over overlapping grids — the
+///   cross-run reuse pattern — pays for each distinct rate once per
+///   cache epoch. Winners stay bit-identical to the uncached search
+///   (cached totals are the totals the training loop computed), and
+///   `stats.cache` reports this search's share of the handle's traffic.
+/// * **Cancellation.** The engine checks `cancel` candidate-by-candidate
+///   alongside the shared bound. A completed search returns `Some` with
+///   the usual bit-identical winner; a cancelled one returns `None` — a
+///   partial grid scan has no deterministic winner (the true minimiser
+///   may sit among the unevaluated rates), so a timed-out tune yields
+///   nothing rather than a rate that depends on where the clock fired.
 ///
 /// # Panics
 ///
@@ -402,11 +370,13 @@ pub fn tune_training_run_with<G: Engine>(
     data: &Dataset,
     init: (f64, f64),
     epochs: usize,
+    cache: Option<&ShardedCache<u64, f64>>,
     cancel: &CancelToken,
 ) -> Option<TuneOutcome> {
-    assert!(!grid.is_empty(), "tune_training_run_with needs at least one candidate rate");
+    assert!(!grid.is_empty(), "tune_training_run needs at least one candidate rate");
     let n = grid.len();
-    let eval = TrainEval { grid, data: Arc::new(data.clone()), init, epochs, prune: true };
+    let base = cache.map(ShardedCache::stats).unwrap_or_default();
+    let eval = TrainEval { grid, data: Arc::new(data.clone()), init, epochs, cache, base };
     match engine.search_with(n, &eval, cancel) {
         SearchResult::Complete(out) => {
             let out = out.expect("non-empty grid");
@@ -416,24 +386,13 @@ pub fn tune_training_run_with<G: Engine>(
     }
 }
 
-/// The default-pool (`SELC_THREADS`) entry point for
-/// [`tune_training_run`].
-pub fn tune_training_run_parallel(
-    grid: Vec<f64>,
-    data: &Dataset,
-    init: (f64, f64),
-    epochs: usize,
-) -> TuneOutcome {
-    tune_training_run(&ParallelEngine::auto(), grid, data, init, epochs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hyper::tune_lr;
     use crate::optimize::{gd_handler_tuned, Optimize};
     use selc::{loss, perform};
-    use selc_engine::SequentialEngine;
+    use selc_engine::{ParallelEngine, SequentialEngine};
 
     /// One gd step on `(p − 3)²` from `p0`, rate served by the LR effect.
     fn step_prog(p0: f64) -> Sel<f64, Vec<f64>> {
@@ -552,31 +511,31 @@ mod tests {
         let uncached =
             tune_training_run(&SequentialEngine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 2);
         let cache: ShardedCache<u64, f64> = ShardedCache::unbounded(4);
-        let first = tune_training_run_cached(
-            &SequentialEngine::exhaustive(),
-            grid.clone(),
-            &data,
-            (0.0, 0.0),
-            2,
-            &cache,
-        );
+        let never = CancelToken::never();
+        let seq = SequentialEngine::exhaustive();
+        let first =
+            tune_training_run_with(&seq, grid.clone(), &data, (0.0, 0.0), 2, Some(&cache), &never)
+                .expect("never token cannot cancel");
         assert_eq!((first.alpha, first.err), (uncached.alpha, uncached.err));
         assert_eq!(first.stats.cache.hits, 0);
         for eng in engines() {
-            let again = tune_training_run_cached(&eng, grid.clone(), &data, (0.0, 0.0), 2, &cache);
+            let again = tune_training_run_with(
+                &eng,
+                grid.clone(),
+                &data,
+                (0.0, 0.0),
+                2,
+                Some(&cache),
+                &never,
+            )
+            .expect("never token cannot cancel");
             assert_eq!((again.alpha, again.err), (uncached.alpha, uncached.err));
             assert!(again.stats.cache.hits > 0, "warm cache answers repeat runs");
         }
         // Epoch invalidation (new dataset, say) forces re-training.
         cache.advance_epoch();
-        let fresh = tune_training_run_cached(
-            &SequentialEngine::exhaustive(),
-            grid,
-            &data,
-            (0.0, 0.0),
-            2,
-            &cache,
-        );
+        let fresh = tune_training_run_with(&seq, grid, &data, (0.0, 0.0), 2, Some(&cache), &never)
+            .expect("never token cannot cancel");
         assert_eq!((fresh.alpha, fresh.err), (uncached.alpha, uncached.err));
         assert_eq!(fresh.stats.cache.hits, 0, "post-epoch search recomputes");
     }
@@ -594,6 +553,7 @@ mod tests {
                 &data,
                 (0.0, 0.0),
                 2,
+                None,
                 &CancelToken::never(),
             )
             .expect("never token cannot cancel");
@@ -601,7 +561,7 @@ mod tests {
             let dead = CancelToken::never();
             dead.cancel();
             assert_eq!(
-                tune_training_run_with(&eng, grid.clone(), &data, (0.0, 0.0), 2, &dead),
+                tune_training_run_with(&eng, grid.clone(), &data, (0.0, 0.0), 2, None, &dead),
                 None,
                 "a pre-cancelled tune must not report a winner"
             );

@@ -3,14 +3,15 @@
 //! This is the seam between the wire and the engines: requests are
 //! validated *before* any compilation or allocation (a hostile depth
 //! cannot make the server build a `2^60`-leaf tree), and execution
-//! threads the session's `CancelToken` into the same entry points the
-//! direct (library) callers use — `search_compiled_cached_with` for
-//! chains, `solve_alphabeta_tt_cancellable` for games — so a served
-//! winner is the *same computation* as a direct one, bit for bit.
+//! threads the session's `CancelToken` into the same search cores the
+//! direct (library) callers use — `TreeEngine::search_with` over an
+//! `LcTreeEval` for chains, `solve_alphabeta_tt_cancellable` for games —
+//! so a served winner is the *same computation* as a direct one, bit
+//! for bit.
 
 use crate::protocol::{WireStats, Workload};
 use crate::tenants::Tenant;
-use lambda_rt::{search_compiled_cached_with, LcCandidates};
+use lambda_rt::{LcCandidates, LcTreeEval};
 use selc_engine::{CancelToken, SearchResult, SearchStats, TreeEngine};
 use selc_obs::{metrics, Counter};
 use std::sync::LazyLock;
@@ -183,7 +184,6 @@ pub fn run(tenant: &Tenant, w: &Workload, cancel: &CancelToken, deadline_bound: 
                 FLOW_METRICS.shape_rejected.inc();
                 return Ran::Rejected(msg);
             }
-            let engine = TreeEngine::auto();
             // Prune only behind a flow certificate *and* a live
             // deadline: an uncertified program must not prune at all
             // (negative losses would make pruning unsound), and an
@@ -201,7 +201,11 @@ pub fn run(tenant: &Tenant, w: &Workload, cancel: &CancelToken, deadline_bound: 
                     None
                 }
             };
-            match search_compiled_cached_with(&engine, &cands, &tenant.lc, cert, cancel) {
+            let mut eval = LcTreeEval::new(cands.clone()).with_cache(&tenant.lc);
+            if let Some(cert) = cert {
+                eval = eval.with_nonneg_certificate(cert);
+            }
+            match TreeEngine::auto().search_with(&eval, cancel) {
                 SearchResult::Complete(out) => {
                     // `validate` rejects zero-choice chains, so the
                     // space is provably non-empty here; an empty argmin

@@ -13,3 +13,9 @@ pub use selc_denote as denote;
 pub use selc_games as games;
 pub use selc_ml as ml;
 pub use selection;
+
+/// The README's Rust blocks, compiled and run as doctests so the tour
+/// cannot drift from the API it shows.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -151,7 +151,9 @@ pub struct SearchStats {
     pub evaluated: u64,
     /// Candidates skipped (dominated lower bound) or abandoned mid-eval.
     pub pruned: u64,
-    /// Workers the search ran with (1 for the sequential engine).
+    /// Workers the search ran with, the calling thread included (1 for
+    /// the sequential engine, and for a tree search that left at most
+    /// one subtree open after probing its summaries).
     pub threads: usize,
     /// Cache counters reported by the evaluator: memoised probes and/or
     /// shared transposition-table traffic during this search.
@@ -458,36 +460,32 @@ impl Engine for ParallelEngine {
             }
         }
 
-        let mut results: Vec<WorkerResult<L>> = Vec::with_capacity(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let queue = &queue;
-                    let bound = &bound;
-                    s.spawn(move || {
-                        let mut state = ScanState::new();
-                        let mut completed = true;
-                        // The claim itself honours the token, so a worker
-                        // stops within one chunk of cancellation instead
-                        // of spinning the queue to exhaustion.
-                        loop {
-                            let claimed = {
-                                let _span = trace::span(&CLAIM_SPAN, chunk as u64);
-                                queue.claim_unless(chunk, cancel)
-                            };
-                            let Some((start, end)) = claimed else { break };
-                            if !scan(eval, start..end, bound, prune, cancel, &mut state) {
-                                completed = false;
-                                break;
-                            }
-                        }
-                        (state.best, state.evaluated, state.pruned, completed)
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("engine worker panicked"));
+        // The claim itself honours the token, so a worker stops within
+        // one chunk of cancellation instead of spinning the queue to
+        // exhaustion.
+        let work = || {
+            let mut state = ScanState::new();
+            let mut completed = true;
+            loop {
+                let claimed = {
+                    let _span = trace::span(&CLAIM_SPAN, chunk as u64);
+                    queue.claim_unless(chunk, cancel)
+                };
+                let Some((start, end)) = claimed else { break };
+                if !scan(eval, start..end, &bound, prune, cancel, &mut state) {
+                    completed = false;
+                    break;
+                }
             }
+            (state.best, state.evaluated, state.pruned, completed)
+        };
+        // The caller is worker 0: `threads - 1` spawns per search.
+        let results: Vec<WorkerResult<L>> = std::thread::scope(|s| {
+            let spawned: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+            let own = work();
+            std::iter::once(own)
+                .chain(spawned.into_iter().map(|h| h.join().expect("engine worker panicked")))
+                .collect()
         });
 
         let mut best: Option<(L, usize)> = None;

@@ -19,15 +19,18 @@
 //!   found early and the bound tightens before the expensive siblings
 //!   run. This pays even on one core — it is an evaluation-order
 //!   improvement, not a parallelism trick.
-//! * **Subtree-granularity distribution** — workers claim decision
-//!   *prefixes* of a fixed split depth from the saturating
-//!   [`WorkQueue`] (not fixed index chunks), rebuild the subtree root
-//!   locally (`enter`), and DFS it; node handles never cross threads,
-//!   so non-`Send` evaluator state (e.g. machine continuations) is fine.
+//! * **Subtree-granularity distribution** — the calling thread first
+//!   probes the summaries of the top `split` levels, root first; the
+//!   split-depth prefixes still open are claimed by workers from the
+//!   saturating [`WorkQueue`] (not fixed index chunks), which rebuild
+//!   each subtree root locally (`enter`) and DFS it. Node handles never
+//!   cross threads, so non-`Send` evaluator state (e.g. machine
+//!   continuations) is fine. The caller is worker 0, and a search with
+//!   at most one open prefix spawns nothing.
 //! * **Subtree summaries at every interior node** — evaluators with a
 //!   summary table ([`TreeEval::probe_summary`]) answer whole subtrees
 //!   from cache: an *exact* entry returns the subtree's argmin in O(1)
-//!   (warm repeats become O(depth) walks instead of O(leaves) rescans),
+//!   (a warm repeat is one probe at the root, not an O(leaves) rescan),
 //!   a *bound* entry skips the subtree when strictly dominated by an
 //!   achieved loss. Fully-evaluated subtrees install exact entries on
 //!   the way back up, pruned ones install bound entries
@@ -193,7 +196,7 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
         SummaryProbe::Miss
     }
 
-    /// Installs `summary` for interior position `(bits, len)` as the DFS
+    /// Installs `summary` for interior position `(bits, len)` as the walk
     /// returns through it: an exact entry when the subtree was fully
     /// evaluated, a bound entry when pruning cut it. Default: no table,
     /// no-op.
@@ -298,6 +301,16 @@ impl TreeEngine {
     /// with no lower bound, so **no summary is installed along the abort
     /// path** — a cancelled search can tighten caches (its completed
     /// leaves and subtrees are real) but never poison them.
+    ///
+    /// One dispatch path serves every thread count. The calling thread
+    /// walks the top `split` levels first, settling each position from
+    /// its summary before anything is entered; only the split-depth
+    /// positions still open become work items. They are drained by
+    /// `min(threads, items)` workers, the caller being worker 0, so a
+    /// warm repeat answered at the root spawns no thread. The subtrees
+    /// then fold back up the prefix under the DFS's own install rules,
+    /// so a parallel cold walk leaves summaries at every level, the root
+    /// included.
     pub fn search_with<L, T>(&self, eval: &T, cancel: &CancelToken) -> SearchResult<L>
     where
         L: OrderedLoss,
@@ -336,87 +349,37 @@ impl TreeEngine {
             cancel,
         };
 
-        let mut parts: Vec<Partial<L>> = if threads == 1 {
-            let mut part = Partial::default();
-            let _span = trace::span(&SUBTREE_SPAN, 0);
-            let sub = walker.dfs(eval.enter(0, 0), 0, 0, &mut part);
-            if let Some(candidate) = sub.best {
-                part.merge(candidate);
-            }
-            vec![part]
-        } else {
-            let queue = WorkQueue::new(1_usize << split);
-            let mut parts = Vec::with_capacity(threads);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let (queue, walker) = (&queue, &walker);
-                        s.spawn(move || {
-                            let mut part = Partial::default();
-                            // The claim honours the token: a cancelled
-                            // worker stops after its current subtree
-                            // instead of draining the prefix queue.
-                            loop {
-                                let claimed = {
-                                    let _span = trace::span(&CLAIM_SPAN, 1);
-                                    queue.claim_unless(1, cancel)
-                                };
-                                let Some((start, end)) = claimed else { break };
-                                debug_assert_eq!(end, start + 1);
-                                let _span = trace::span(&SUBTREE_SPAN, start as u64);
-                                let sub = walker.dfs(
-                                    walker.eval.enter(start as u64, split),
-                                    start as u64,
-                                    split,
-                                    &mut part,
-                                );
-                                if let Some(candidate) = sub.best {
-                                    part.merge(candidate);
-                                }
-                                if part.aborted {
-                                    break;
-                                }
-                            }
-                            part
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    parts.push(h.join().expect("tree worker panicked"));
-                }
-            });
-            // Subtrees never claimed because the token fired at the
-            // queue are aborted work too, even if no walker saw the
-            // flag mid-DFS; an undrained queue after the pool exits
-            // proves claims were refused.
-            if queue.claim(1).is_some() {
-                if let Some(p) = parts.first_mut() {
-                    p.aborted = true;
+        let mut tally = Tally::default();
+        let mut items = Vec::new();
+        let plan = walker.prefix(0, 0, split, &mut items, &mut tally);
+        let workers = threads.min(items.len()).max(1);
+        let queue = WorkQueue::new(items.len());
+        let work = || walker.work(&queue, &items, split);
+        let mut subs: Vec<Option<Sub<L>>> = (0..items.len()).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let spawned: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let own = work();
+            for (worker, done) in std::iter::once(own)
+                .chain(spawned.into_iter().map(|h| h.join().expect("tree worker panicked")))
+            {
+                tally.add(&worker);
+                for (i, sub) in done {
+                    subs[i] = Some(sub);
                 }
             }
-            parts
-        };
+        });
+        let root = walker.fold(plan, 0, 0, &mut subs, &mut tally);
 
-        let mut merged = Partial::default();
-        for part in parts.drain(..) {
-            merged.evaluated += part.evaluated;
-            merged.pruned += part.pruned;
-            merged.aborted |= part.aborted;
-            merged.summary = merged.summary.merged(&part.summary);
-            if let Some(candidate) = part.best {
-                merged.merge(candidate);
-            }
-        }
         let stats = SearchStats {
-            evaluated: merged.evaluated,
-            pruned: merged.pruned,
-            threads,
+            evaluated: tally.evaluated,
+            pruned: tally.pruned,
+            threads: workers,
             cache: eval.cache_stats(),
-            summary: merged.summary,
+            summary: tally.summary,
         };
-        record_search_metrics(&stats, merged.aborted);
-        let outcome = merged.best.map(|(loss, index)| Outcome { index, loss, stats });
-        if merged.aborted {
+        record_search_metrics(&stats, tally.aborted);
+        let outcome = root.best.map(|(loss, index)| Outcome { index, loss, stats });
+        if tally.aborted {
             SearchResult::Cancelled(outcome)
         } else {
             SearchResult::Complete(outcome)
@@ -424,35 +387,25 @@ impl TreeEngine {
     }
 }
 
-/// One worker's accumulator: local best plus counters (`evaluated` =
-/// canonical leaves scored, `pruned` = subtrees or leaves skipped,
-/// `summary` = interior-node summary traffic, `aborted` = the cancel
-/// token fired mid-walk and some subtree was left unexplored).
-struct Partial<L> {
-    best: Option<(L, usize)>,
+/// One worker's counters (`evaluated` = canonical leaves scored,
+/// `pruned` = subtrees or leaves skipped, `summary` = interior-node
+/// summary traffic, `aborted` = the cancel token fired mid-walk and some
+/// subtree was left unexplored). The winner is not here: it comes from
+/// the root's [`Sub`].
+#[derive(Default)]
+struct Tally {
     evaluated: u64,
     pruned: u64,
     summary: SummaryStats,
     aborted: bool,
 }
 
-impl<L> Default for Partial<L> {
-    fn default() -> Self {
-        Partial {
-            best: None,
-            evaluated: 0,
-            pruned: 0,
-            summary: SummaryStats::default(),
-            aborted: false,
-        }
-    }
-}
-
-impl<L: OrderedLoss> Partial<L> {
-    fn merge(&mut self, candidate: (L, usize)) {
-        if self.best.as_ref().is_none_or(|best| crate::engine::better(&candidate, best)) {
-            self.best = Some(candidate);
-        }
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.evaluated += other.evaluated;
+        self.pruned += other.pruned;
+        self.summary = self.summary.merged(&other.summary);
+        self.aborted |= other.aborted;
     }
 }
 
@@ -465,13 +418,13 @@ struct Walker<'a, L, T> {
     cancel: &'a CancelToken,
 }
 
-/// What one subtree reduced to, threaded back up the DFS so every parent
-/// can install its own summary.
+/// What one subtree reduced to, threaded back up the DFS (and the prefix
+/// fold) so every parent can install its own summary.
 struct Sub<L> {
     /// The subtree's canonical contribution: the best `(loss, index)`
     /// among leaves credited inside it. `None` when it credits nothing
     /// (non-canonical early leaves) or pruning cut it before anything
-    /// scored. Merged into the worker's [`Partial`] by the DFS caller.
+    /// scored. The root's `best` is the search's winner.
     best: Option<(L, usize)>,
     /// A lower bound on every candidate credited beneath the position,
     /// when one is known: the min of visited losses and skipped
@@ -483,22 +436,163 @@ struct Sub<L> {
     exact: bool,
 }
 
+impl<L> Sub<L> {
+    /// A subtree nothing is known about: cut by an evaluator-side prune,
+    /// aborted by cancellation, or never claimed. Inexact with no lower
+    /// bound, so no ancestor can install a summary over it.
+    fn hole() -> Sub<L> {
+        Sub { best: None, lb: None, exact: false }
+    }
+}
+
+/// How the prefix walk left one position at or above the split.
+enum Plan<L> {
+    /// Settled by its own summary probe.
+    Settled(Sub<L>),
+    /// An open split-depth position: an index into the work items.
+    Item(usize),
+    /// Open above the split: fold the `true` and `false` children.
+    Split(Box<[Plan<L>; 2]>),
+}
+
 impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
+    /// Visits `(bits, len)` and, while it stays open, its descendants
+    /// down to depth `split`, on the calling thread and without entering
+    /// anything: each position's summary is probed before its children's
+    /// (root first). Split-depth positions still open are appended to
+    /// `items`, in flat-index order.
+    fn prefix(
+        &self,
+        bits: u64,
+        len: u32,
+        split: u32,
+        items: &mut Vec<u64>,
+        tally: &mut Tally,
+    ) -> Plan<L> {
+        if let Some(sub) = self.settle(bits, len, tally) {
+            return Plan::Settled(sub);
+        }
+        if len == split {
+            items.push(bits);
+            return Plan::Item(items.len() - 1);
+        }
+        let t = self.prefix(bits << 1, len + 1, split, items, tally);
+        let f = self.prefix((bits << 1) | 1, len + 1, split, items, tally);
+        Plan::Split(Box::new([t, f]))
+    }
+
+    /// One worker's share of the split: claims open items until the
+    /// queue drains, DFSing each from a locally entered root, and returns
+    /// each item's reduction under its index. The claim honours the
+    /// token, so a cancelled worker stops after its current subtree
+    /// instead of draining the queue.
+    fn work(&self, queue: &WorkQueue, items: &[u64], split: u32) -> (Tally, Vec<(usize, Sub<L>)>) {
+        let mut tally = Tally::default();
+        let mut done = Vec::new();
+        loop {
+            let claimed = {
+                let _span = trace::span(&CLAIM_SPAN, 1);
+                queue.claim_unless(1, self.cancel)
+            };
+            let Some((i, _)) = claimed else { break };
+            let bits = items[i];
+            let _span = trace::span(&SUBTREE_SPAN, bits);
+            // The prefix walk already probed this position's summary.
+            let sub = self.dfs(self.eval.enter(bits, split), bits, split, true, &mut tally);
+            done.push((i, sub));
+            if tally.aborted {
+                break;
+            }
+        }
+        (tally, done)
+    }
+
+    /// Folds the workers' item reductions back up `plan`, which sits at
+    /// `(bits, len)`, joining siblings exactly as the DFS does. An item
+    /// no worker finished (its claim was refused by the token) folds as
+    /// a [`Sub::hole`] and marks the search aborted.
+    fn fold(
+        &self,
+        plan: Plan<L>,
+        bits: u64,
+        len: u32,
+        subs: &mut [Option<Sub<L>>],
+        tally: &mut Tally,
+    ) -> Sub<L> {
+        match plan {
+            Plan::Settled(sub) => sub,
+            Plan::Item(i) => subs[i].take().unwrap_or_else(|| {
+                tally.aborted = true;
+                Sub::hole()
+            }),
+            Plan::Split(children) => {
+                let [t, f] = *children;
+                let a = self.fold(t, bits << 1, len + 1, subs, tally);
+                let b = self.fold(f, (bits << 1) | 1, len + 1, subs, tally);
+                self.join(a, b, bits, len, tally)
+            }
+        }
+    }
+
+    /// Probes the summary at `(bits, len)` and returns the subtree's
+    /// reduction when the entry settles it: an exact entry always, a
+    /// bound entry when pruning is on and an achieved loss strictly
+    /// dominates it.
+    fn settle(&self, bits: u64, len: u32, tally: &mut Tally) -> Option<Sub<L>> {
+        if !self.summaries {
+            return None;
+        }
+        match self.eval.probe_summary(bits, len) {
+            SummaryProbe::Exact { loss, index } => {
+                // The whole subtree in O(1): its cached argmin is an
+                // achieved loss, so it also tightens the bound like the
+                // leaves it stands for would.
+                tally.summary.exact_hits += 1;
+                if self.prune {
+                    self.bound.observe(&loss);
+                }
+                Some(Sub {
+                    best: Some((loss.clone(), index as usize)),
+                    lb: Some(loss),
+                    exact: true,
+                })
+            }
+            SummaryProbe::Bound { loss } => {
+                tally.summary.bound_hits += 1;
+                // A bound entry is never an answer — but when strictly
+                // dominated by an achieved loss, no candidate beneath can
+                // win or tie, and the subtree is skipped whole. (It must
+                // NOT feed `bound.observe`: nothing attained it.)
+                if self.prune && self.bound.dominated(&loss) {
+                    tally.pruned += 1;
+                    return Some(Sub { best: None, lb: Some(loss), exact: false });
+                }
+                None
+            }
+            SummaryProbe::Miss => {
+                tally.summary.misses += 1;
+                None
+            }
+        }
+    }
+
     /// DFS from `step`, which sits at position `(bits, len)`; returns
-    /// the subtree's reduction (the caller merges `best` upward).
+    /// the subtree's reduction. `probed` says the position's summary was
+    /// already probed (by the prefix walk), so the DFS does not ask twice.
     fn dfs(
         &self,
         step: TreeStep<T::Node, L>,
         bits: u64,
         len: u32,
-        part: &mut Partial<L>,
+        probed: bool,
+        tally: &mut Tally,
     ) -> Sub<L> {
         match step {
             TreeStep::Pruned => {
-                part.pruned += 1;
+                tally.pruned += 1;
                 // The evaluator proved strict domination but reported no
                 // value, so the parent has nothing to bound with.
-                Sub { best: None, lb: None, exact: false }
+                Sub::hole()
             }
             TreeStep::Leaf { loss, used } => {
                 debug_assert!(used <= len, "leaves cannot overshoot their position");
@@ -511,7 +605,7 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     // this (single-leaf) subtree, and nothing was cut.
                     return Sub { best: None, lb: Some(loss), exact: true };
                 }
-                part.evaluated += 1;
+                tally.evaluated += 1;
                 if self.prune {
                     self.bound.observe(&loss);
                 }
@@ -521,48 +615,22 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
             TreeStep::Node { node, hint } => {
                 // The cancellation check sits where the bound checks do:
                 // once per interior node. An aborted subtree reports
-                // itself inexact with no lower bound, so no ancestor can
-                // install a summary over the hole it leaves — the
-                // cancellation-soundness half of the install rules.
+                // itself as a hole, so no ancestor can install a summary
+                // over it — the cancellation-soundness half of the
+                // install rules.
                 if self.cancel.is_cancelled() {
-                    part.aborted = true;
-                    return Sub { best: None, lb: None, exact: false };
+                    tally.aborted = true;
+                    return Sub::hole();
                 }
-                if self.summaries {
-                    match self.eval.probe_summary(bits, len) {
-                        SummaryProbe::Exact { loss, index } => {
-                            // The whole subtree in O(1): its cached argmin
-                            // is an achieved loss, so it also tightens the
-                            // bound like the leaves it stands for would.
-                            part.summary.exact_hits += 1;
-                            if self.prune {
-                                self.bound.observe(&loss);
-                            }
-                            return Sub {
-                                best: Some((loss.clone(), index as usize)),
-                                lb: Some(loss),
-                                exact: true,
-                            };
-                        }
-                        SummaryProbe::Bound { loss } => {
-                            part.summary.bound_hits += 1;
-                            // A bound entry is never an answer — but when
-                            // strictly dominated by an achieved loss, no
-                            // candidate beneath can win or tie, and the
-                            // subtree is skipped whole. (It must NOT feed
-                            // `bound.observe`: nothing attained it.)
-                            if self.prune && self.bound.dominated(&loss) {
-                                part.pruned += 1;
-                                return Sub { best: None, lb: Some(loss), exact: false };
-                            }
-                        }
-                        SummaryProbe::Miss => part.summary.misses += 1,
+                if !probed {
+                    if let Some(sub) = self.settle(bits, len, tally) {
+                        return sub;
                     }
                 }
                 if self.prune && self.eval.hint_is_lower_bound() {
                     if let Some(h) = &hint {
                         if self.bound.dominated(h) {
-                            part.pruned += 1;
+                            tally.pruned += 1;
                             return Sub { best: None, lb: hint, exact: false };
                         }
                     }
@@ -586,59 +654,58 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                 } else {
                     [(t_step, t_bits), (f_step, f_bits)]
                 };
-                let a = self.dfs(first, first_bits, len + 1, part);
-                let b = if part.aborted {
+                let a = self.dfs(first, first_bits, len + 1, false, tally);
+                let b = if tally.aborted {
                     // Unwind without touching the sibling: its expansion
                     // already happened (cheap), but its subtree has not.
-                    Sub { best: None, lb: None, exact: false }
+                    Sub::hole()
                 } else {
-                    self.dfs(second, second_bits, len + 1, part)
+                    self.dfs(second, second_bits, len + 1, false, tally)
                 };
-
-                let mut best = a.best;
-                if let Some(candidate) = b.best {
-                    if best
-                        .as_ref()
-                        .is_none_or(|current| crate::engine::better(&candidate, current))
-                    {
-                        best = Some(candidate);
-                    }
-                }
-                let exact = a.exact && b.exact;
-                let lb = match (a.lb, b.lb) {
-                    (Some(x), Some(y)) => {
-                        Some(if y.cmp_loss(&x) == std::cmp::Ordering::Less { y } else { x })
-                    }
-                    _ => None,
-                };
-                if self.summaries {
-                    if exact {
-                        // Fully evaluated: the subtree's true argmin, ties
-                        // included — answerable on the next visit.
-                        if let Some((loss, index)) = &best {
-                            self.eval.install_summary(
-                                bits,
-                                len,
-                                SubtreeSummary::exact(loss.clone(), *index as u64),
-                            );
-                            part.summary.exact_installs += 1;
-                        }
-                    } else if let Some(lb) = &lb {
-                        // Pruning cut the subtree: the min of what was
-                        // seen (losses and skipped subtrees' bounds) is a
-                        // lower bound on everything beneath, nothing more.
-                        let index = best.as_ref().map_or(0, |(_, i)| *i as u64);
-                        self.eval.install_summary(
-                            bits,
-                            len,
-                            SubtreeSummary::bound(lb.clone(), index),
-                        );
-                        part.summary.bound_installs += 1;
-                    }
-                }
-                Sub { best, lb, exact }
+                self.join(a, b, bits, len, tally)
             }
         }
+    }
+
+    /// Joins sibling subtrees into their parent at `(bits, len)` and
+    /// installs the parent's summary. The DFS and the prefix fold both
+    /// return through here, so an entry means the same at every level.
+    fn join(&self, a: Sub<L>, b: Sub<L>, bits: u64, len: u32, tally: &mut Tally) -> Sub<L> {
+        let mut best = a.best;
+        if let Some(candidate) = b.best {
+            if best.as_ref().is_none_or(|current| crate::engine::better(&candidate, current)) {
+                best = Some(candidate);
+            }
+        }
+        let exact = a.exact && b.exact;
+        let lb = match (a.lb, b.lb) {
+            (Some(x), Some(y)) => {
+                Some(if y.cmp_loss(&x) == std::cmp::Ordering::Less { y } else { x })
+            }
+            _ => None,
+        };
+        if self.summaries {
+            if exact {
+                // Fully evaluated: the subtree's true argmin, ties
+                // included — answerable on the next visit.
+                if let Some((loss, index)) = &best {
+                    self.eval.install_summary(
+                        bits,
+                        len,
+                        SubtreeSummary::exact(loss.clone(), *index as u64),
+                    );
+                    tally.summary.exact_installs += 1;
+                }
+            } else if let Some(lb) = &lb {
+                // Pruning cut the subtree: the min of what was seen
+                // (losses and skipped subtrees' bounds) is a lower bound
+                // on everything beneath, nothing more.
+                let index = best.as_ref().map_or(0, |(_, i)| *i as u64);
+                self.eval.install_summary(bits, len, SubtreeSummary::bound(lb.clone(), index));
+                tally.summary.bound_installs += 1;
+            }
+        }
+        Sub { best, lb, exact }
     }
 }
 
@@ -705,16 +772,18 @@ where
     }
     let queue = WorkQueue::new(count);
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let (queue, slots, task) = (&queue, &slots, &task);
-            s.spawn(move || {
-                while let Some((i, _)) = queue.claim_unless(1, cancel) {
-                    let r = task(i);
-                    *slots[i].lock().expect("subtree slot poisoned") = Some(r);
-                }
-            });
+    let work = || {
+        while let Some((i, _)) = queue.claim_unless(1, cancel) {
+            let r = task(i);
+            *slots[i].lock().expect("subtree slot poisoned") = Some(r);
         }
+    };
+    // The caller is worker 0: one spawn fewer per call.
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(work);
+        }
+        work();
     });
     let mut out = Vec::with_capacity(count);
     for slot in slots {
@@ -971,12 +1040,14 @@ mod tests {
     }
 
     /// A [`TableTree`] with a real summary table (plain mutexed map — the
-    /// engine contract, not the sharded cache, is under test here) and an
-    /// achieved-loss seed for the shared bound.
+    /// engine contract, not the sharded cache, is under test here), an
+    /// achieved-loss seed for the shared bound, and a count of the
+    /// subtree roots entered.
     struct SummaryTree {
         inner: TableTree,
         table: Mutex<std::collections::HashMap<(u64, u32), SubtreeSummary<f64>>>,
         seed: Mutex<Option<u64>>,
+        enters: std::sync::atomic::AtomicUsize,
     }
 
     impl SummaryTree {
@@ -985,6 +1056,7 @@ mod tests {
                 inner: TableTree::new(losses, hints),
                 table: Mutex::new(std::collections::HashMap::new()),
                 seed: Mutex::new(None),
+                enters: std::sync::atomic::AtomicUsize::new(0),
             }
         }
     }
@@ -995,6 +1067,8 @@ mod tests {
             self.inner.depth()
         }
         fn enter(&self, prefix: u64, len: u32) -> TreeStep<(u64, u32), f64> {
+            // ordering: Relaxed — a test counter, no data guarded.
+            self.enters.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.enter(prefix, len)
         }
         fn child(
@@ -1027,17 +1101,34 @@ mod tests {
     fn warm_exhaustive_repeat_answers_at_the_root() {
         let losses = table(5, 64);
         let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
-        let eval = SummaryTree::new(losses, false);
-        let engine = TreeEngine { threads: 1, prune: false, split: 0, summaries: true };
-        let cold = engine.search(&eval).unwrap();
-        assert_eq!((cold.index, cold.loss), (flat.index, flat.loss));
-        assert_eq!(cold.stats.summary.exact_hits, 0);
-        assert_eq!(cold.stats.summary.exact_installs, 63, "every interior node installs");
-        assert_eq!(cold.stats.summary.bound_installs, 0, "no pruning, no bound entries");
-        let warm = engine.search(&eval).unwrap();
-        assert_eq!((warm.index, warm.loss), (flat.index, flat.loss));
-        assert_eq!(warm.stats.summary.exact_hits, 1, "one probe, at the root");
-        assert_eq!(warm.stats.evaluated, 0, "no leaf re-walked: {:?}", warm.stats);
+        // A parallel cold walk folds its subtrees back up the prefix, so
+        // it installs above the split too, and its warm repeat is the
+        // same single root probe as the one-worker walk's.
+        for engine in [
+            TreeEngine { threads: 1, prune: false, split: 0, summaries: true },
+            TreeEngine { threads: 2, prune: false, split: 3, summaries: true },
+            TreeEngine { threads: 3, prune: false, split: 2, summaries: true },
+        ] {
+            let eval = SummaryTree::new(losses.clone(), false);
+            let cold = engine.search(&eval).unwrap();
+            assert_eq!((cold.index, cold.loss), (flat.index, flat.loss), "{engine:?}");
+            assert_eq!(cold.stats.summary.exact_hits, 0, "{engine:?}");
+            assert_eq!(
+                cold.stats.summary.exact_installs, 63,
+                "every interior node installs: {engine:?}"
+            );
+            assert_eq!(cold.stats.summary.bound_installs, 0, "no pruning, no bound entries");
+            // ordering: Relaxed — test counter.
+            eval.enters.store(0, std::sync::atomic::Ordering::Relaxed);
+            let warm = engine.search(&eval).unwrap();
+            assert_eq!((warm.index, warm.loss), (flat.index, flat.loss), "{engine:?}");
+            assert_eq!(warm.stats.summary.exact_hits, 1, "one probe, at the root: {engine:?}");
+            assert_eq!(warm.stats.evaluated, 0, "no leaf re-walked: {:?}", warm.stats);
+            assert_eq!(warm.stats.threads, 1, "a root answer needs no worker: {engine:?}");
+            // ordering: Relaxed — test counter.
+            let enters = eval.enters.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(enters, 0, "no subtree entered: {engine:?}");
+        }
     }
 
     #[test]
@@ -1173,7 +1264,7 @@ mod tests {
     fn mid_walk_cancellation_returns_a_partial_best_and_skips_the_rest() {
         /// Fires the shared token after `trip` leaf evaluations.
         struct Tripping {
-            inner: TableTree,
+            inner: SummaryTree,
             cancel: CancelToken,
             trip: u64,
             count: std::sync::atomic::AtomicU64,
@@ -1202,22 +1293,63 @@ mod tests {
                 }
                 step
             }
+            fn probe_summary(&self, bits: u64, len: u32) -> SummaryProbe<f64> {
+                self.inner.probe_summary(bits, len)
+            }
+            fn install_summary(&self, bits: u64, len: u32, summary: SubtreeSummary<f64>) {
+                self.inner.install_summary(bits, len, summary);
+            }
         }
-        let cancel = CancelToken::new();
-        let eval = Tripping {
-            inner: TableTree::new(table(7, 1 << 12), false),
-            cancel: cancel.clone(),
-            trip: 4,
-            count: Default::default(),
-        };
-        let result = TreeEngine { threads: 1, prune: false, split: 0, summaries: false }
-            .search_with(&eval, &cancel);
-        assert!(result.was_cancelled());
-        let out = result.into_outcome().expect("some leaves scored before the trip");
-        assert!(
-            out.stats.evaluated < 64,
-            "the 4096-leaf walk stopped near the trip: {:?}",
-            out.stats
-        );
+        // The first leaves walked (indices 0..4) do not hold the minimum
+        // of any subtree wider than them, so an entry installed over a
+        // hole would record a wrong argmin.
+        let losses: Vec<f64> = (0..1_u32 << 12).map(|i| f64::from((i + 5) * 13 % 11)).collect();
+        let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        for engine in [
+            TreeEngine { threads: 1, prune: false, split: 0, summaries: false },
+            TreeEngine { threads: 2, prune: false, split: 2, summaries: true },
+        ] {
+            let cancel = CancelToken::new();
+            let eval = Tripping {
+                inner: SummaryTree::new(losses.clone(), false),
+                cancel: cancel.clone(),
+                trip: 4,
+                count: Default::default(),
+            };
+            let result = engine.search_with(&eval, &cancel);
+            assert!(result.was_cancelled(), "{engine:?}");
+            let out = result.into_outcome().expect("some leaves scored before the trip");
+            assert!(
+                out.stats.evaluated < 64,
+                "the 4096-leaf walk stopped near the trip: {:?}",
+                out.stats
+            );
+            // Subtrees completed before the trip may keep their entries,
+            // but nothing above a hole — the root least of all.
+            let entries = eval.inner.table.lock().unwrap().clone();
+            assert!(!entries.contains_key(&(0, 0)), "no root summary after the trip: {engine:?}");
+            for ((bits, len), entry) in entries.into_iter().filter(|(_, e)| e.exact) {
+                let lo = (bits << (12 - len)) as usize;
+                let beneath = &losses[lo..lo + (1 << (12 - len))];
+                let truth =
+                    minimize(&SequentialEngine::exhaustive(), beneath.len(), |i| beneath[i])
+                        .unwrap();
+                assert_eq!(
+                    (entry.index, entry.loss),
+                    ((lo + truth.index) as u64, truth.loss),
+                    "exact entry at ({bits}, {len}) is its subtree's argmin: {engine:?}"
+                );
+            }
+            // The next, un-cancelled search reuses what was installed and
+            // still matches the flat scan bit for bit.
+            let again = TreeEngine { threads: 2, prune: true, split: 2, summaries: true }
+                .search(&eval)
+                .unwrap();
+            assert_eq!(
+                (again.index, again.loss.to_bits()),
+                (flat.index, flat.loss.to_bits()),
+                "{engine:?}"
+            );
+        }
     }
 }

@@ -23,9 +23,9 @@
 //!   execution through the same cancellable entry points library
 //!   callers use, so served winners are bit-identical to direct ones.
 //! * [`server`] — accept loop, `Busy` admission control, a fixed
-//!   session-worker pool, and a per-request disconnect watcher that
-//!   fires the search's `CancelToken` when the caller vanishes
-//!   (tracked and joined, never leaked). The server is also where
+//!   session-worker pool, and one disconnect watcher per server that
+//!   peeks the sockets of running searches and fires a search's
+//!   `CancelToken` when its caller vanishes. The server is also where
 //!   metrics recording defaults on, so a fresh daemon is scrapeable
 //!   without any environment setup.
 //! * [`client`] — the blocking loopback client the tests and the

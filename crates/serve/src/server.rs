@@ -15,18 +15,20 @@
 //!   `workers` bounds *concurrent searches* and `max_sessions` bounds
 //!   *open connections*.
 //!
+//! * **Disconnect watcher** (one thread) — every search registers its
+//!   session's socket and `CancelToken` in a shared map while it runs;
+//!   each poll interval the watcher peeks every registered socket and
+//!   fires the token of any whose client has gone, so no worker grinds
+//!   through a search for nobody. Shutdown joins it.
+//!
 //! Deadlines and disconnects both flow through one `CancelToken` per
-//! search: the token's deadline is the request's `deadline_ms`, and a
-//! per-request watcher thread peeks the socket while the search runs,
-//! firing the same token if the client vanishes — the fix for workers
-//! grinding through a search whose caller is gone. Cancellation is
-//! safe to trigger at any moment: the engines guarantee a cancelled
+//! search: the token's deadline is the request's `deadline_ms`, and the
+//! watcher fires the same token when the client vanishes. Cancellation
+//! is safe to trigger at any moment: the engines guarantee a cancelled
 //! walk installs no cache summaries (see `DESIGN.md`), so a timed-out
-//! request leaves its tenant's warmth exactly as it found it. Watcher
-//! threads are *tracked*: the session signals them done (they wake
-//! immediately off a condvar, not a poll), finished handles are reaped
-//! as new ones spawn, and shutdown joins every straggler — the server
-//! never accumulates detached threads.
+//! request leaves its tenant's warmth exactly as it found it. A warm
+//! request touches no thread but its own session worker: registering
+//! with the watcher is a map insert and remove, not a spawn.
 //!
 //! The server is also where the workspace's metrics default flips
 //! **on**: a daemon you cannot scrape is blind, so `Server::spawn`
@@ -57,7 +59,7 @@ pub const DEFAULT_PORT: u16 = 7352;
 /// Default admission limit when `SELC_SERVE_MAX_SESSIONS` is unset.
 pub const DEFAULT_MAX_SESSIONS: usize = 32;
 
-/// How often a request's disconnect watcher polls the socket.
+/// How often the disconnect watcher peeks the sockets of running searches.
 const WATCH_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The serve layer's registry handles, resolved once. Every member is
@@ -139,12 +141,13 @@ struct Shared {
     shutdown: AtomicBool,
     /// Clones of live session sockets, so shutdown can force-close
     /// them and unblock workers parked in `read_frame`.
-    open: Mutex<HashMap<u64, TcpStream>>,
+    open: Mutex<HashMap<u64, Arc<TcpStream>>>,
     next_session: AtomicU64,
-    /// Handles of the per-request disconnect watchers, reaped as new
-    /// ones register and joined at shutdown — bounded by in-flight
-    /// requests, not request count.
-    watchers: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// Searches in flight, by session id: the session's socket clone
+    /// and the search's token, for the disconnect watcher to peek and
+    /// fire. A session removes its entry (by dropping its [`Watch`])
+    /// before it touches the socket again; see [`watch_loop`].
+    watched: Mutex<HashMap<u64, (Arc<TcpStream>, CancelToken)>>,
 }
 
 impl Shared {
@@ -155,10 +158,28 @@ impl Shared {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    fn track_watcher(&self, handle: thread::JoinHandle<()>) {
-        let mut watchers = lock_clean(&self.watchers);
-        reap_finished(&mut watchers);
-        watchers.push(handle);
+    /// Registers session `id`'s running search with the disconnect
+    /// watcher until the returned guard drops.
+    fn watch(&self, id: u64, peer: &Arc<TcpStream>, cancel: &CancelToken) -> Watch<'_> {
+        lock_clean(&self.watched).insert(id, (Arc::clone(peer), cancel.clone()));
+        SERVE_METRICS.active_watchers.inc();
+        Watch { shared: self, id }
+    }
+}
+
+/// A search's registration with the disconnect watcher. Dropping it
+/// removes the entry under the watcher's lock, so once it is gone no
+/// peek is in flight and the socket is back in blocking mode; being a
+/// guard, it also goes when the search panics.
+struct Watch<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        lock_clean(&self.shared.watched).remove(&self.id);
+        SERVE_METRICS.active_watchers.dec();
     }
 }
 
@@ -171,60 +192,13 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Joins (not just drops) every finished handle in place: a joined
-/// watcher is provably gone, which is what [`Server::active_watchers`]
-/// counts and the leak test asserts on.
-fn reap_finished(watchers: &mut Vec<thread::JoinHandle<()>>) {
-    let mut i = 0;
-    while i < watchers.len() {
-        if watchers[i].is_finished() {
-            let _ = watchers.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Completion handshake between a session worker and its request's
-/// disconnect watcher: the worker flips `done` and rings the bell, so
-/// a watcher waiting out a poll interval wakes immediately instead of
-/// sleeping the interval to its end.
-struct WatchSignal {
-    done: Mutex<bool>,
-    bell: Condvar,
-}
-
-impl WatchSignal {
-    fn new() -> WatchSignal {
-        WatchSignal { done: Mutex::new(false), bell: Condvar::new() }
-    }
-
-    fn finish(&self) {
-        *lock_clean(&self.done) = true;
-        self.bell.notify_all();
-    }
-
-    fn is_done(&self) -> bool {
-        *lock_clean(&self.done)
-    }
-
-    /// Waits up to `timeout` for the request to finish; true once done.
-    fn wait_done(&self, timeout: Duration) -> bool {
-        let guard = lock_clean(&self.done);
-        let (done, _) = self
-            .bell
-            .wait_timeout_while(guard, timeout, |done| !*done)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *done
-    }
-}
-
 /// A running server; dropping the handle shuts it down.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
+    watcher: Option<thread::JoinHandle<()>>,
 }
 
 /// Alias kept for readers scanning the crate root: the handle *is* the
@@ -232,8 +206,8 @@ pub struct Server {
 pub type ServerHandle = Server;
 
 impl Server {
-    /// Binds `127.0.0.1:{config.port}` and spawns the accept loop and
-    /// worker pool.
+    /// Binds `127.0.0.1:{config.port}` and spawns the accept loop, the
+    /// worker pool and the disconnect watcher.
     ///
     /// # Errors
     ///
@@ -258,7 +232,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             open: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
-            watchers: Mutex::new(Vec::new()),
+            watched: Mutex::new(HashMap::new()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -271,7 +245,11 @@ impl Server {
                 thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        Ok(Server { addr, shared, accept: Some(accept), workers })
+        let watcher = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || watch_loop(&shared))
+        };
+        Ok(Server { addr, shared, accept: Some(accept), workers, watcher: Some(watcher) })
     }
 
     /// The bound address (read this when spawning on port 0).
@@ -288,15 +266,12 @@ impl Server {
         self.shared.active.load(Ordering::Relaxed)
     }
 
-    /// Disconnect-watcher threads spawned for requests and not yet
-    /// exited. Joins finished handles as a side effect, so the count is
-    /// of provably-live threads — the no-leak test asserts this returns
-    /// to zero once requests settle.
+    /// Searches currently registered with the disconnect watcher — the
+    /// in-flight searches. Returns to zero once requests settle: a
+    /// session deregisters its search before writing the response.
     #[must_use]
     pub fn active_watchers(&self) -> usize {
-        let mut watchers = lock_clean(&self.shared.watchers);
-        reap_finished(&mut watchers);
-        watchers.len()
+        lock_clean(&self.shared.watched).len()
     }
 
     /// Stops accepting, force-closes live sessions, and joins every
@@ -324,12 +299,11 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Workers gone ⇒ every request signalled its watcher done;
-        // each exits within one poll interval, so these joins are
-        // bounded — and afterwards no thread of ours survives the
-        // handle.
-        let handles: Vec<_> = lock_clean(&self.shared.watchers).drain(..).collect();
-        for watcher in handles {
+        // Workers gone ⇒ nothing is watched any more. The watcher saw
+        // the flag or sees it once unparked, so afterwards no thread of
+        // ours survives the handle.
+        if let Some(watcher) = self.watcher.take() {
+            watcher.thread().unpark();
             let _ = watcher.join();
         }
     }
@@ -382,8 +356,11 @@ fn worker_loop(shared: &Shared) {
         // ordering: Relaxed — session ids only need uniqueness, which
         // the RMW guarantees under any ordering.
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            lock_clean(&shared.open).insert(id, clone);
+        // The session's one clone serves both shutdown's force-close and
+        // the disconnect watcher's peeks.
+        let peer = stream.try_clone().ok().map(Arc::new);
+        if let Some(peer) = &peer {
+            lock_clean(&shared.open).insert(id, Arc::clone(peer));
         }
         // A shutdown that raced our registration has already drained
         // the open map; re-checking the flag after inserting closes
@@ -391,7 +368,7 @@ fn worker_loop(shared: &Shared) {
         if shared.shutting_down() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        serve_session(stream, shared);
+        serve_session(stream, peer.as_ref(), id, shared);
         lock_clean(&shared.open).remove(&id);
         // ordering: Relaxed — see the admission-control comment.
         shared.active.fetch_sub(1, Ordering::Relaxed);
@@ -402,11 +379,8 @@ fn worker_loop(shared: &Shared) {
 /// fails. Malformed *payloads* are survivable (the frame was consumed;
 /// answer and continue); malformed *frames* are not (the stream can no
 /// longer be resynchronised), so those answer and close.
-fn serve_session(mut stream: TcpStream, shared: &Shared) {
+fn serve_session(mut stream: TcpStream, peer: Option<&Arc<TcpStream>>, id: u64, shared: &Shared) {
     loop {
-        // A previous request's (detached) watcher set a short read
-        // timeout on the shared fd; idle reads must block indefinitely.
-        let _ = stream.set_read_timeout(None);
         let payload = match read_frame(&mut stream) {
             Ok(Some(payload)) => payload,
             Ok(None) => return, // clean hang-up
@@ -443,17 +417,12 @@ fn serve_session(mut stream: TcpStream, shared: &Shared) {
                         } else {
                             CancelToken::never()
                         };
-                        let signal = Arc::new(WatchSignal::new());
-                        let watcher = spawn_watcher(&stream, cancel.clone(), Arc::clone(&signal));
-                        if let Some(handle) = watcher {
-                            shared.track_watcher(handle);
-                        }
-                        let ran = workload::run(&tenant, &workload, &cancel, deadline_ms > 0);
-                        // The watcher wakes off the bell (or within one
-                        // poll interval if it is mid-peek) and exits;
-                        // its tracked handle is reaped later, off this
-                        // request's latency path.
-                        signal.finish();
+                        let ran = {
+                            // Deregistered as the block ends, before the
+                            // response is written.
+                            let _watch = peer.map(|peer| shared.watch(id, peer, &cancel));
+                            workload::run(&tenant, &workload, &cancel, deadline_ms > 0)
+                        };
                         match ran {
                             Ran::Done { index, loss, stats } => Response::Ok { index, loss, stats },
                             Ran::TimedOut { partial } => {
@@ -481,54 +450,48 @@ fn serve_session(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Watches the session socket while a search runs: if the client hangs
-/// up (peek sees EOF) or the transport dies, the search's token fires
-/// and the workers stop claiming — the queue-drain fix made
-/// end-to-end. The watcher borrows the socket via `try_clone`, which
-/// shares the fd; its short read timeout leaks past the request, so
-/// the session clears it before each blocking `read_frame`. The
-/// returned handle is tracked by the caller and joined at shutdown;
-/// the thread itself exits within one poll interval of the signal
-/// finishing (immediately, when it is waiting on the bell rather than
-/// mid-peek).
-fn spawn_watcher(
-    stream: &TcpStream,
-    cancel: CancelToken,
-    signal: Arc<WatchSignal>,
-) -> Option<thread::JoinHandle<()>> {
-    let peer = stream.try_clone().ok()?;
-    peer.set_read_timeout(Some(WATCH_INTERVAL)).ok()?;
-    Some(thread::spawn(move || {
-        SERVE_METRICS.active_watchers.inc();
-        let mut probe = [0u8; 1];
-        loop {
-            if signal.is_done() {
-                break;
-            }
-            match peer.peek(&mut probe) {
-                Ok(0) => {
-                    SERVE_METRICS.disconnect_cancels.inc();
-                    cancel.cancel(); // EOF: the caller is gone
-                    break;
-                }
-                // Bytes waiting (a pipelined request): still alive.
-                // Wait out a poll interval or the completion bell,
-                // whichever comes first.
-                Ok(_) => {
-                    if signal.wait_done(WATCH_INTERVAL) {
-                        break;
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(_) => {
-                    SERVE_METRICS.disconnect_cancels.inc();
-                    cancel.cancel(); // transport dead: same as gone
-                    break;
-                }
+/// The disconnect watcher: every [`WATCH_INTERVAL`] it peeks the
+/// socket of each running search, and fires the search's token when the
+/// client has hung up (EOF) or the transport has died — the queue-drain
+/// fix made end-to-end. Bytes waiting (a pipelined request) or nothing
+/// to read both mean the client is alive.
+///
+/// The peek must not block, so the socket is switched to non-blocking
+/// mode around it. `O_NONBLOCK` lives on the open file description,
+/// which the watched clone shares with the session's own stream: the
+/// session would see it too. That is safe only because the whole scan
+/// holds the `watched` lock and restores blocking mode before the next
+/// entry, while a session removes its entry under the same lock before
+/// it reads or writes the socket again — so the session never touches
+/// the socket inside the non-blocking window.
+fn watch_loop(shared: &Shared) {
+    while !shared.shutting_down() {
+        // Shutdown unparks the thread, so it never sleeps out an interval.
+        thread::park_timeout(WATCH_INTERVAL);
+        let watched = lock_clean(&shared.watched);
+        for (socket, cancel) in watched.values() {
+            // Already cancelled (a deadline, or a disconnect seen on an
+            // earlier pass): nothing left to fire, or to count twice.
+            if !cancel.is_cancelled() && client_gone(socket) {
+                SERVE_METRICS.disconnect_cancels.inc();
+                cancel.cancel();
             }
         }
-        SERVE_METRICS.active_watchers.dec();
-    }))
+    }
+}
+
+/// One non-blocking peek: true on EOF or a hard transport error. The
+/// socket is back in blocking mode on return.
+fn client_gone(socket: &TcpStream) -> bool {
+    if socket.set_nonblocking(true).is_err() {
+        return true; // the fd itself is dead: same as gone
+    }
+    let mut probe = [0u8; 1];
+    let gone = match socket.peek(&mut probe) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted),
+    };
+    let _ = socket.set_nonblocking(false);
+    gone
 }

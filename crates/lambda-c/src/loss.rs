@@ -77,6 +77,21 @@ impl LossVal {
     }
 }
 
+/// In-place [`LossVal::add`]: `a += &b` leaves `a` bit-identical to
+/// `a.add(&b)` (missing components still add as `0.0`, so `-0.0` turns
+/// into `+0.0` on either side exactly as there), without a new vector once
+/// `a` is long enough.
+impl std::ops::AddAssign<&LossVal> for LossVal {
+    fn add_assign(&mut self, other: &LossVal) {
+        for (i, a) in self.0.iter_mut().enumerate() {
+            *a += other.0.get(i).copied().unwrap_or(0.0);
+        }
+        for b in other.0.iter().skip(self.0.len()) {
+            self.0.push(0.0 + b);
+        }
+    }
+}
+
 impl fmt::Display for LossVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0.len() {
@@ -105,6 +120,25 @@ mod tests {
         let a = LossVal::pair(1.0, -2.0);
         assert_eq!(a.add(&LossVal::zero()), a);
         assert_eq!(LossVal::zero().add(&a), a);
+    }
+
+    #[test]
+    fn add_assign_is_bit_identical_to_add() {
+        let cases = [
+            LossVal::zero(),
+            LossVal::scalar(-0.0),
+            LossVal::scalar(1.5),
+            LossVal::pair(-0.0, 2.0),
+            LossVal(vec![f64::NAN, -0.0, 3.0]),
+        ];
+        for a in &cases {
+            for b in &cases {
+                let mut c = a.clone();
+                c += b;
+                let bits = |l: &LossVal| l.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&c), bits(&a.add(b)), "{a:?} += {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! with **persistent environments** (a β-step is one cons onto an
 //! environment list) and **reified continuations** (`Rc` closures, so the
 //! multi-shot delimited and choice continuations of rule (R5) come from
-//! cloning a pointer instead of replugging a syntactic context).
+//! cloning a pointer instead of replugging a syntactic context). Node
+//! frames are first-order: a node part-way through its children is a
+//! `SeqState`, completed by one `finish_node` match over its `Code`
+//! variant, and syntactic-value children are evaluated in place.
 //!
 //! The machine mirrors the Fig-6 loss-continuation semantics exactly:
 //!
 //! * **Eager loss emission** — `loss(v)` emits into the innermost loss
 //!   sink the moment it reduces, like the transition labels of Fig 6;
-//!   the ambient sink accumulates in emission order, so totals are
-//!   bit-identical to [`crate::bigstep::eval`]'s running sum.
+//!   the ambient sink is the machine's running total, folded left in
+//!   emission order, so totals are bit-identical to
+//!   [`crate::bigstep::eval`]'s running sum and a choice-point snapshot
+//!   carries one loss, not the path's emission history.
 //! * **Capture scopes** — a `◮` left-hand side (rule S2) and a choice
 //!   probe collect their emissions into a local buffer and fold them
 //!   right-associatively around the loss continuation's verdict,
@@ -352,8 +357,6 @@ type LossBuf = Vec<LossVal>;
 type EvalR = Result<MRes, MachError>;
 /// A resumable continuation: feed an operation result, keep evaluating.
 type KCont = Rc<dyn Fn(&mut Machine, MVal, &mut LossBuf) -> EvalR>;
-/// A deferred continuation run (a handler segment's body).
-type Seg = Rc<dyn Fn(&mut Machine, &mut LossBuf) -> EvalR>;
 
 /// Either a value or a stuck operation with its resumption.
 enum MRes {
@@ -374,7 +377,8 @@ struct StuckM {
 
 #[derive(Clone)]
 struct ForcedState {
-    ops: BTreeSet<String>,
+    /// Shared, so a snapshot clone copies a pointer, not the set.
+    ops: Rc<BTreeSet<String>>,
     bits: u64,
     /// Decisions `0..scripted` are answered from `bits`; decisions
     /// `scripted..max` yield [`ChoicePoint`]s (tree mode). Plain forced
@@ -409,7 +413,8 @@ impl ForcedState {
 
 /// The mutable run state threaded through evaluation. `Clone` is the
 /// snapshot operation of tree mode: a [`ChoicePoint`] captures the state
-/// at a suspension and every resume works on its own copy.
+/// at a suspension and every resume works on its own copy, which costs
+/// the same at every depth.
 #[derive(Clone)]
 struct Machine {
     fuel_left: u64,
@@ -418,10 +423,18 @@ struct Machine {
     capture_depth: u32,
     forced: Option<ForcedState>,
     prune: Option<MachinePrune>,
-    prune_partial: LossVal,
+    /// The ambient sink: every depth-0 emission folded left from
+    /// [`LossVal::zero`] in emission order, so it is bit-identical to
+    /// [`crate::bigstep::eval`]'s running sum at every point of the run.
+    total: LossVal,
 }
 
 impl Machine {
+    fn new(fuel: u64, forced: Option<ForcedState>, prune: Option<MachinePrune>) -> Machine {
+        let fuel_left = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
+        Machine { fuel_left, steps: 0, capture_depth: 0, forced, prune, total: LossVal::zero() }
+    }
+
     fn tick(&mut self) -> Result<(), MachError> {
         self.steps += 1;
         if self.fuel_left == 0 {
@@ -431,24 +444,25 @@ impl Machine {
         Ok(())
     }
 
-    /// Emits a loss into `buf`, mirroring smallstep exactly: ambient
-    /// emissions keep every loss (the bigstep total adds them all, in
-    /// order), capture scopes elide zeros (S2 skips the `add` wrapper for
-    /// `r = 0`).
+    /// Emits a loss, mirroring smallstep exactly: ambient emissions fold
+    /// every loss into the running total (the bigstep total adds them
+    /// all, in order), capture scopes collect into `buf` and elide zeros
+    /// (S2 skips the `add` wrapper for `r = 0`).
     fn emit(&mut self, buf: &mut LossBuf, l: LossVal) -> Result<(), MachError> {
-        if self.capture_depth == 0 {
-            if let Some(p) = &self.prune {
-                self.prune_partial = self.prune_partial.add(&l);
-                // ordering: Relaxed — the threshold mirrors the shared
-                // bound's monotone hint: a stale (larger) value only
-                // under-prunes, it can never wrongly abort a run.
-                if (p.encode)(&self.prune_partial) > p.threshold.load(Ordering::Relaxed) {
-                    return Err(MachError::Pruned);
-                }
+        if self.capture_depth > 0 {
+            if !l.is_zero() {
+                buf.push(l);
             }
-            buf.push(l);
-        } else if !l.is_zero() {
-            buf.push(l);
+            return Ok(());
+        }
+        self.total += &l;
+        if let Some(p) = &self.prune {
+            // ordering: Relaxed — the threshold mirrors the shared
+            // bound's monotone hint: a stale (larger) value only
+            // under-prunes, it can never wrongly abort a run.
+            if (p.encode)(&self.total) > p.threshold.load(Ordering::Relaxed) {
+                return Err(MachError::Pruned);
+            }
         }
         Ok(())
     }
@@ -471,51 +485,33 @@ pub fn run(p: &CompiledProgram) -> Result<MachineOutcome, MachError> {
 ///
 /// See [`MachError`].
 pub fn run_with(p: &CompiledProgram, cfg: RunConfig) -> Result<MachineOutcome, MachError> {
-    let fuel = if cfg.fuel == 0 { DEFAULT_MACHINE_FUEL } else { cfg.fuel };
-    let mut m = Machine {
-        fuel_left: fuel,
-        steps: 0,
-        capture_depth: 0,
-        forced: cfg.forced.map(|f| ForcedState {
-            ops: f.ops,
-            bits: f.bits,
-            scripted: f.max_decisions,
-            max: f.max_decisions,
-            used: 0,
-        }),
-        prune: cfg.prune,
-        prune_partial: LossVal::zero(),
-    };
-    let mut ambient: LossBuf = Vec::new();
-    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut ambient)?;
+    let forced = cfg.forced.map(|f| ForcedState {
+        ops: Rc::new(f.ops),
+        bits: f.bits,
+        scripted: f.max_decisions,
+        max: f.max_decisions,
+        used: 0,
+    });
+    let mut m = Machine::new(cfg.fuel, forced, cfg.prune);
+    // Depth-0 emissions go to `m.total`, so the ambient buffer stays empty.
+    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut Vec::new())?;
     // Scripted forced runs never yield (`scripted == max`), so `r` is a
     // plain value or genuinely-stuck operation here.
-    Ok(outcome_of(&m, r, &ambient))
+    Ok(outcome_of(m, r))
 }
 
 /// Folds a finished run (value or stuck, never a choice yield) into a
 /// [`MachineOutcome`].
-fn outcome_of(m: &Machine, r: MRes, ambient: &LossBuf) -> MachineOutcome {
-    let mut loss = LossVal::zero();
-    for l in ambient {
-        loss = loss.add(l);
-    }
+fn outcome_of(m: Machine, r: MRes) -> MachineOutcome {
     let decisions_used = m.forced.as_ref().map_or(0, |f| f.used);
-    match r {
-        MRes::Done(v) => {
-            MachineOutcome { loss, value: Some(v), stuck_on: None, steps: m.steps, decisions_used }
-        }
+    let (value, stuck_on) = match r {
+        MRes::Done(v) => (Some(v), None),
         MRes::Stuck(s) => {
             debug_assert!(!s.choice, "choice yield outside tree mode");
-            MachineOutcome {
-                loss,
-                value: None,
-                stuck_on: Some(s.op),
-                steps: m.steps,
-                decisions_used,
-            }
+            (None, Some(s.op))
         }
-    }
+    };
+    MachineOutcome { loss: m.total, value, stuck_on, steps: m.steps, decisions_used }
 }
 
 // ---------------------------------------------------------------------------
@@ -567,21 +563,20 @@ pub enum Explored {
 /// A run suspended at a forced choice point. The captured continuation is
 /// **multi-shot** — the machine's environments are persistent, handler
 /// parameter stacks are balanced at a suspension, and every mutable
-/// scrap of run state (fuel, loss scopes, the pruning partial) lives in a
-/// snapshot cloned per [`ChoicePoint::resume`] — so both decisions can be
-/// explored from one shared prefix evaluation. Not `Send`: points stay on
-/// the worker that created them; parallel searches ship decision
-/// *prefixes* and rebuild points locally.
+/// scrap of run state (fuel, loss scopes, the ambient running total)
+/// lives in a snapshot cloned per [`ChoicePoint::resume`] — so both
+/// decisions can be explored from one shared prefix evaluation. The
+/// snapshot holds no per-decision history, so a resume costs the same at
+/// every depth. Not `Send`: points stay on the worker that created them;
+/// parallel searches ship decision *prefixes* and rebuild points locally.
 pub struct ChoicePoint {
     cont: KCont,
     state: Machine,
-    ambient: LossBuf,
-    partial: LossVal,
 }
 
 impl fmt::Debug for ChoicePoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ChoicePoint(depth = {}, partial = {:?})", self.depth(), self.partial)
+        write!(f, "ChoicePoint(depth = {}, partial = {:?})", self.depth(), self.state.total)
     }
 }
 
@@ -597,7 +592,7 @@ impl ChoicePoint {
     /// every completion's total when emissions are non-negative, and a
     /// cheap best-first ordering estimate regardless.
     pub fn partial_loss(&self) -> &LossVal {
-        &self.partial
+        &self.state.total
     }
 
     /// Resumes the run with `decision`, on a fresh copy of the suspended
@@ -609,22 +604,15 @@ impl ChoicePoint {
     /// the branch.
     pub fn resume(&self, decision: bool) -> Result<Explored, MachError> {
         let mut m = self.state.clone();
-        let mut ambient = self.ambient.clone();
-        let r = (self.cont)(&mut m, MVal::bool(decision), &mut ambient)?;
-        Ok(finish_explored(m, r, ambient))
+        let r = (self.cont)(&mut m, MVal::bool(decision), &mut Vec::new())?;
+        Ok(finish_explored(m, r))
     }
 }
 
-fn finish_explored(m: Machine, r: MRes, ambient: LossBuf) -> Explored {
+fn finish_explored(m: Machine, r: MRes) -> Explored {
     match r {
-        MRes::Stuck(s) if s.choice => {
-            let mut partial = LossVal::zero();
-            for l in &ambient {
-                partial = partial.add(l);
-            }
-            Explored::Choice(ChoicePoint { cont: s.cont, state: m, ambient, partial })
-        }
-        r => Explored::Done(outcome_of(&m, r, &ambient)),
+        MRes::Stuck(s) if s.choice => Explored::Choice(ChoicePoint { cont: s.cont, state: m }),
+        r => Explored::Done(outcome_of(m, r)),
     }
 }
 
@@ -638,24 +626,16 @@ fn finish_explored(m: Machine, r: MRes, ambient: LossBuf) -> Explored {
 ///
 /// See [`MachError`].
 pub fn explore(p: &CompiledProgram, cfg: TreeRunConfig) -> Result<Explored, MachError> {
-    let fuel = if cfg.fuel == 0 { DEFAULT_MACHINE_FUEL } else { cfg.fuel };
-    let mut m = Machine {
-        fuel_left: fuel,
-        steps: 0,
-        capture_depth: 0,
-        forced: Some(ForcedState {
-            ops: cfg.choices.ops,
-            bits: cfg.choices.prefix_bits,
-            scripted: cfg.choices.prefix_len,
-            max: cfg.choices.max_decisions,
-            used: 0,
-        }),
-        prune: cfg.prune,
-        prune_partial: LossVal::zero(),
+    let forced = ForcedState {
+        ops: Rc::new(cfg.choices.ops),
+        bits: cfg.choices.prefix_bits,
+        scripted: cfg.choices.prefix_len,
+        max: cfg.choices.max_decisions,
+        used: 0,
     };
-    let mut ambient: LossBuf = Vec::new();
-    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut ambient)?;
-    Ok(finish_explored(m, r, ambient))
+    let mut m = Machine::new(cfg.fuel, Some(forced), cfg.prune);
+    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut Vec::new())?;
+    Ok(finish_explored(m, r))
 }
 
 // ---------------------------------------------------------------------------
@@ -679,290 +659,201 @@ fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: KCont) -> EvalR {
     }
 }
 
-/// State for evaluating a node's children left to right; `finish`
-/// completes the node once all children are values.
+/// A node part-way through its children, left to right: `done` holds the
+/// values of children `0..idx`, and [`finish_node`] completes the node
+/// once the last child is a value.
+#[derive(Clone)]
 struct SeqState {
-    children: Rc<Vec<Arc<Code>>>,
+    node: Arc<Code>,
     idx: usize,
     done: Vec<MVal>,
     env: Env,
     g: GVal,
-    finish: Finish,
 }
 
-type Finish = Rc<dyn Fn(&mut Machine, Vec<MVal>, &mut LossBuf) -> EvalR>;
-
-fn eval_seq(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
-    if st.idx == st.children.len() {
-        return (st.finish)(m, st.done, buf);
+impl SeqState {
+    /// Accepts the value of child `idx`: finishes the node after its last
+    /// child, else moves on to the next.
+    fn feed(mut self, m: &mut Machine, v: MVal, buf: &mut LossBuf) -> EvalR {
+        if child_of(&self.node, self.idx + 1).is_none() {
+            return finish_node(m, &self.node, self.done, v, &self.env, &self.g, buf);
+        }
+        self.done.push(v);
+        self.idx += 1;
+        eval_seq(m, self, buf)
     }
-    let child = Arc::clone(&st.children[st.idx]);
-    let env = st.env.clone();
-    let g_node = st.g.clone();
+}
+
+/// Child `i` of a node evaluated left to right by [`eval_seq`].
+fn child_of(code: &Code, i: usize) -> Option<&Arc<Code>> {
+    match (code, i) {
+        (Code::Tuple(es), _) => es.get(i),
+        (
+            Code::Prim(_, a)
+            | Code::Proj(a, _)
+            | Code::Inl { e: a, .. }
+            | Code::Inr { e: a, .. }
+            | Code::Succ(a)
+            | Code::OpCall { arg: a, .. }
+            | Code::Loss(a)
+            | Code::Cases { scrut: a, .. }
+            | Code::Handle { from: a, .. }
+            | Code::App(a, _)
+            | Code::Cons(a, _)
+            | Code::Iter(a, _, _)
+            | Code::Fold(a, _, _),
+            0,
+        ) => Some(a),
+        (Code::App(_, b) | Code::Cons(_, b) | Code::Iter(_, b, _) | Code::Fold(_, b, _), 1) => {
+            Some(b)
+        }
+        (Code::Iter(_, _, c) | Code::Fold(_, _, c), 2) => Some(c),
+        _ => None,
+    }
+}
+
+/// Evaluates the children of `st.node` from `st.idx` on. A child that is
+/// a syntactic value is evaluated in place: it never ticks, emits or
+/// reads `g`, so it needs no continuation and no loss-continuation frame.
+fn eval_seq(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
+    let Some(child) = child_of(&st.node, st.idx) else {
+        return Err(MachError::Malformed("evaluation of a node without children".into()));
+    };
+    if let Some(v) = value_of(child, &st.env)? {
+        return st.feed(m, v, buf);
+    }
+    let child = Arc::clone(child);
+    let (env, g_node) = (st.env.clone(), st.g.clone());
     // The continuation after this child: it both resumes evaluation on
     // `bind` and *is* the `F[x]` of the loss-continuation extension
     // `λx. F[x] ◮ g` (rule F) — one coarse frame per remaining node,
     // which folds identically to smallstep's one frame per constructor.
-    let rest: KCont = Rc::new(move |m, v, buf| {
-        let mut done = st.done.clone();
-        done.push(v);
-        eval_seq(
-            m,
-            SeqState {
-                children: Rc::clone(&st.children),
-                idx: st.idx + 1,
-                done,
-                env: st.env.clone(),
-                g: st.g.clone(),
-                finish: Rc::clone(&st.finish),
-            },
-            buf,
-        )
-    });
+    let rest: KCont = Rc::new(move |m, v, buf| st.clone().feed(m, v, buf));
     let g_child = GVal::Frame { rest: Rc::clone(&rest), outer: Rc::new(g_node) };
     let r = eval(m, &child, &env, &g_child, buf)?;
     bind(m, r, buf, rest)
 }
 
-/// Convenience: evaluates `children` in `env`, then `finish`.
-fn seq(
+/// The value of a syntactic-value node, `None` for every other node.
+fn value_of(code: &Code, env: &Env) -> Result<Option<MVal>, MachError> {
+    Ok(Some(match code {
+        Code::Const(c) => const_val(c),
+        Code::Var(i) => env
+            .get(*i)
+            .cloned()
+            .ok_or_else(|| MachError::Malformed(format!("unbound de Bruijn index {i}")))?,
+        Code::Lam(body) => MVal::Clos(Clos { body: Arc::clone(body), env: env.clone() }),
+        Code::Zero => MVal::Nat(0),
+        Code::Nil(t) => MVal::List { elem: t.clone(), items: Vec::new() },
+        Code::Tuple(es) if es.is_empty() => MVal::unit(),
+        _ => return Ok(None),
+    }))
+}
+
+/// The values of a node's leading children (all but the last).
+fn leading<const N: usize>(done: Vec<MVal>) -> Result<[MVal; N], MachError> {
+    <[MVal; N]>::try_from(done).map_err(|d| {
+        MachError::Malformed(format!("node expected {} children, got {}", N + 1, d.len() + 1))
+    })
+}
+
+/// Completes `node` once its children are values: `done` holds all but
+/// the last, which is `last`. The node keeps its `g`.
+fn finish_node(
     m: &mut Machine,
-    children: Vec<Arc<Code>>,
+    node: &Code,
+    done: Vec<MVal>,
+    last: MVal,
     env: &Env,
     g: &GVal,
     buf: &mut LossBuf,
-    finish: Finish,
 ) -> EvalR {
-    eval_seq(
-        m,
-        SeqState {
-            children: Rc::new(children),
-            idx: 0,
-            done: Vec::new(),
-            env: env.clone(),
-            g: g.clone(),
-            finish,
+    let v = match (node, last) {
+        (Code::Prim(name, _), a) => return prim_apply(name, &a),
+        (Code::Tuple(_), v) => {
+            let mut vs = done;
+            vs.push(v);
+            MVal::Tuple(vs)
+        }
+        (Code::Proj(_, i), MVal::Tuple(vs)) => vs
+            .into_iter()
+            .nth(*i)
+            .ok_or_else(|| MachError::Malformed(format!("projection .{} out of range", i + 1)))?,
+        (Code::Inl { lty, rty, .. }, v) | (Code::Inr { lty, rty, .. }, v) => MVal::Sum {
+            right: matches!(node, Code::Inr { .. }),
+            lty: lty.clone(),
+            rty: rty.clone(),
+            val: Box::new(v),
         },
-        buf,
-    )
+        (Code::Succ(_), MVal::Nat(n)) => MVal::Nat(n + 1),
+        (Code::Cons(..), MVal::List { elem, mut items }) => {
+            let [head] = leading(done)?;
+            items.insert(0, head);
+            MVal::List { elem, items }
+        }
+        // The chosen branch replaces the node: same g.
+        (Code::Cases { lbody, rbody, .. }, MVal::Sum { right, val, .. }) => {
+            return eval(m, if right { rbody } else { lbody }, &env.push(*val), g, buf);
+        }
+        (Code::App(..), a) => {
+            let [f] = leading(done)?;
+            return apply(m, f, a, g, buf);
+        }
+        (Code::Iter(..), cv) => match leading(done)? {
+            [MVal::Nat(n), bv] => return iter_apply(m, n, bv, &cv, g, buf, |_d, v| v),
+            [other, _] => return Err(MachError::Malformed(format!("iter on non-nat {other:?}"))),
+        },
+        (Code::Fold(..), cv) => match leading(done)? {
+            [MVal::List { items, .. }, bv] => {
+                let len = items.len() as u64;
+                let items = Rc::new(items);
+                let pick = move |d: usize, v: MVal| MVal::Tuple(vec![items[d].clone(), v]);
+                return iter_apply(m, len, bv, &cv, g, buf, pick);
+            }
+            [other, _] => return Err(MachError::Malformed(format!("fold on non-list {other:?}"))),
+        },
+        (Code::OpCall { op, .. }, arg) => {
+            let cont: KCont = Rc::new(|_m, y, _buf| Ok(MRes::Done(y)));
+            return Ok(MRes::Stuck(StuckM { op: op.clone(), arg, cont, choice: false }));
+        }
+        (Code::Loss(_), MVal::Loss(l)) => {
+            m.emit(buf, l)?;
+            MVal::unit()
+        }
+        (Code::Handle { handler, body, .. }, p0) => {
+            let act = Rc::new(Activation {
+                h: Arc::clone(handler),
+                env: env.clone(),
+                params: RefCell::new(Vec::new()),
+            });
+            return run_seg(m, &act, p0, Start::Body(Arc::clone(body)), g, buf);
+        }
+        (node, other) => {
+            return Err(MachError::Malformed(format!("{} {other:?}", shape_error(node))));
+        }
+    };
+    Ok(MRes::Done(v))
+}
+
+/// What a [`finish_node`] shape error says about its node.
+fn shape_error(node: &Code) -> &'static str {
+    match node {
+        Code::Proj(..) => "projection from non-tuple",
+        Code::Succ(_) => "succ of non-nat",
+        Code::Cons(..) => "cons onto non-list",
+        Code::Cases { .. } => "cases on non-sum",
+        Code::Loss(_) => "loss of non-loss",
+        _ => "unexpected node finishing with",
+    }
 }
 
 /// Evaluates `code` in `env` under loss continuation `g`, emitting into
 /// `buf` — the machine's analogue of the judgment `g ⊢ε e →* w`.
 fn eval(m: &mut Machine, code: &Arc<Code>, env: &Env, g: &GVal, buf: &mut LossBuf) -> EvalR {
+    if let Some(v) = value_of(code, env)? {
+        return Ok(MRes::Done(v));
+    }
     match code.as_ref() {
-        Code::Const(c) => Ok(MRes::Done(const_val(c))),
-        Code::Var(i) => match env.get(*i) {
-            Some(v) => Ok(MRes::Done(v.clone())),
-            None => Err(MachError::Malformed(format!("unbound de Bruijn index {i}"))),
-        },
-        Code::Lam(body) => {
-            Ok(MRes::Done(MVal::Clos(Clos { body: Arc::clone(body), env: env.clone() })))
-        }
-        Code::Zero => Ok(MRes::Done(MVal::Nat(0))),
-        Code::Nil(t) => Ok(MRes::Done(MVal::List { elem: t.clone(), items: Vec::new() })),
-        Code::Prim(name, a) => {
-            let name = name.clone();
-            seq(
-                m,
-                vec![Arc::clone(a)],
-                env,
-                g,
-                buf,
-                Rc::new(move |_m, done, _buf| prim_apply(&name, &done[0])),
-            )
-        }
-        Code::Tuple(es) => seq(
-            m,
-            es.clone(),
-            env,
-            g,
-            buf,
-            Rc::new(|_m, done, _buf| Ok(MRes::Done(MVal::Tuple(done)))),
-        ),
-        Code::Proj(a, i) => {
-            let i = *i;
-            seq(
-                m,
-                vec![Arc::clone(a)],
-                env,
-                g,
-                buf,
-                Rc::new(move |_m, done, _buf| match &done[0] {
-                    MVal::Tuple(vs) => vs.get(i).cloned().map(MRes::Done).ok_or_else(|| {
-                        MachError::Malformed(format!("projection .{} out of range", i + 1))
-                    }),
-                    other => {
-                        Err(MachError::Malformed(format!("projection from non-tuple {other:?}")))
-                    }
-                }),
-            )
-        }
-        Code::Inl { lty, rty, e } => inj(m, (false, lty, rty, e), env, g, buf),
-        Code::Inr { lty, rty, e } => inj(m, (true, lty, rty, e), env, g, buf),
-        Code::Succ(a) => seq(
-            m,
-            vec![Arc::clone(a)],
-            env,
-            g,
-            buf,
-            Rc::new(|_m, done, _buf| match &done[0] {
-                MVal::Nat(n) => Ok(MRes::Done(MVal::Nat(n + 1))),
-                other => Err(MachError::Malformed(format!("succ of non-nat {other:?}"))),
-            }),
-        ),
-        Code::Cons(a, b) => seq(
-            m,
-            vec![Arc::clone(a), Arc::clone(b)],
-            env,
-            g,
-            buf,
-            Rc::new(|_m, mut done, _buf| {
-                let tail = done.pop().expect("two children");
-                let head = done.pop().expect("two children");
-                match tail {
-                    MVal::List { elem, mut items } => {
-                        items.insert(0, head);
-                        Ok(MRes::Done(MVal::List { elem, items }))
-                    }
-                    other => Err(MachError::Malformed(format!("cons onto non-list {other:?}"))),
-                }
-            }),
-        ),
-        Code::Cases { scrut, lbody, rbody } => {
-            let (lbody, rbody) = (Arc::clone(lbody), Arc::clone(rbody));
-            let (env2, g2) = (env.clone(), g.clone());
-            seq(
-                m,
-                vec![Arc::clone(scrut)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| match done.pop().expect("one child") {
-                    // The chosen branch replaces the node: same g.
-                    MVal::Sum { right, val, .. } => {
-                        let body = if right { &rbody } else { &lbody };
-                        eval(m, body, &env2.push(*val), &g2, buf)
-                    }
-                    other => Err(MachError::Malformed(format!("cases on non-sum {other:?}"))),
-                }),
-            )
-        }
-        Code::App(f, a) => {
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(f), Arc::clone(a)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let a = done.pop().expect("two children");
-                    let f = done.pop().expect("two children");
-                    apply(m, f, a, &g2, buf)
-                }),
-            )
-        }
-        Code::Iter(a, b, c) => {
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(a), Arc::clone(b), Arc::clone(c)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let cv = done.pop().expect("three children");
-                    let bv = done.pop().expect("three children");
-                    match done.pop().expect("three children") {
-                        MVal::Nat(n) => iter_apply(m, n, bv, &cv, &g2, buf, |_d, v| v),
-                        other => Err(MachError::Malformed(format!("iter on non-nat {other:?}"))),
-                    }
-                }),
-            )
-        }
-        Code::Fold(a, b, c) => {
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(a), Arc::clone(b), Arc::clone(c)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let cv = done.pop().expect("three children");
-                    let bv = done.pop().expect("three children");
-                    match done.pop().expect("three children") {
-                        MVal::List { items, .. } => {
-                            let len = items.len() as u64;
-                            let items = Rc::new(items);
-                            let pick =
-                                move |d: usize, v: MVal| MVal::Tuple(vec![items[d].clone(), v]);
-                            iter_apply(m, len, bv, &cv, &g2, buf, pick)
-                        }
-                        other => Err(MachError::Malformed(format!("fold on non-list {other:?}"))),
-                    }
-                }),
-            )
-        }
-        Code::OpCall { op, arg } => {
-            let op = op.clone();
-            seq(
-                m,
-                vec![Arc::clone(arg)],
-                env,
-                g,
-                buf,
-                Rc::new(move |_m, mut done, _buf| {
-                    Ok(MRes::Stuck(StuckM {
-                        op: op.clone(),
-                        arg: done.pop().expect("one child"),
-                        cont: Rc::new(|_m, y, _buf| Ok(MRes::Done(y))),
-                        choice: false,
-                    }))
-                }),
-            )
-        }
-        Code::Loss(a) => seq(
-            m,
-            vec![Arc::clone(a)],
-            env,
-            g,
-            buf,
-            Rc::new(|m, mut done, buf| match done.pop().expect("one child") {
-                MVal::Loss(l) => {
-                    m.emit(buf, l)?;
-                    Ok(MRes::Done(MVal::unit()))
-                }
-                other => Err(MachError::Malformed(format!("loss of non-loss {other:?}"))),
-            }),
-        ),
-        Code::Handle { handler, from, body } => {
-            let act_proto = (Arc::clone(handler), env.clone());
-            let body = Arc::clone(body);
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(from)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let p0 = done.pop().expect("one child");
-                    let act = Rc::new(Activation {
-                        h: Arc::clone(&act_proto.0),
-                        env: act_proto.1.clone(),
-                        params: RefCell::new(Vec::new()),
-                    });
-                    // (S1): the handled body runs under the return-clause
-                    // extension with the live parameter.
-                    let g1 = GVal::Ret { act: Rc::clone(&act), outer: Rc::new(g2.clone()) };
-                    let (body, benv) = (Arc::clone(&body), act_proto.1.clone());
-                    let start: Seg = Rc::new(move |m, buf| eval(m, &body, &benv, &g1, buf));
-                    run_seg(m, &act, p0, start, &g2, buf)
-                }),
-            )
-        }
         Code::Then { e, lam_body } => {
             // (S2): capture the lhs's losses under g := the lambda.
             let lam = GVal::Fun(Clos { body: Arc::clone(lam_body), env: env.clone() });
@@ -984,6 +875,16 @@ fn eval(m: &mut Machine, code: &Arc<Code>, env: &Env, g: &GVal, buf: &mut LossBu
             let r = eval(m, e, env, g, &mut junk);
             m.capture_depth -= 1;
             reset_finish(m, r?)
+        }
+        _ => {
+            let st = SeqState {
+                node: Arc::clone(code),
+                idx: 0,
+                done: Vec::new(),
+                env: env.clone(),
+                g: g.clone(),
+            };
+            eval_seq(m, st, buf)
         }
     }
 }
@@ -1090,6 +991,13 @@ fn apply_g(m: &mut Machine, g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
     }
 }
 
+/// How a handler segment starts: the handled body (under the
+/// return-clause extension), or a captured continuation fed a value.
+enum Start {
+    Body(Arc<Code>),
+    Resume(KCont, MVal),
+}
+
 /// Runs one handler segment (the initial body, a resumption, or the
 /// resumed part of a probe): pushes the segment's parameter, drives the
 /// body to a value (R6), a handled operation (R5), or an unhandled one
@@ -1098,13 +1006,21 @@ fn run_seg(
     m: &mut Machine,
     act: &Rc<Activation>,
     p: MVal,
-    start: Seg,
+    start: Start,
     g: &GVal,
     buf: &mut LossBuf,
 ) -> EvalR {
     m.tick()?;
     act.params.borrow_mut().push(p.clone());
-    let r = start(m, buf);
+    let r = match start {
+        // (S1): the handled body runs under the return-clause extension
+        // with the live parameter.
+        Start::Body(body) => {
+            let g1 = GVal::Ret { act: Rc::clone(act), outer: Rc::new(g.clone()) };
+            eval(m, &body, &act.env, &g1, buf)
+        }
+        Start::Resume(k, y) => k(m, y, buf),
+    };
     act.params.borrow_mut().pop();
     match r? {
         MRes::Done(v) => {
@@ -1114,70 +1030,55 @@ fn run_seg(
             eval(m, &ret_body, &env, g, buf)
         }
         MRes::Stuck(s) => {
-            if !s.choice && act.h.clause(&s.op).is_some() {
-                // Forced-choice interception: answer scripted decisions
-                // directly (`k(p, d)`), skipping the clause body; in tree
-                // mode, decisions past the scripted prefix suspend the
-                // whole run instead.
-                let decision = match &mut m.forced {
-                    Some(f) if f.ops.contains(&s.op) => Some(f.next()?),
-                    _ => None,
-                };
-                match decision {
-                    Some(Decision::Scripted(d)) => {
-                        let inner = s.cont;
-                        let y = MVal::bool(d);
-                        let start2: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
-                        return run_seg(m, act, p, start2, g, buf);
-                    }
-                    Some(Decision::Yield) => {
-                        // Suspend exactly where the scripted path would
-                        // resume: the choice continuation re-enters this
-                        // segment with the (later-supplied) decision, and
-                        // propagates out past every enclosing handler.
-                        let (act2, g2, inner) = (Rc::clone(act), g.clone(), s.cont);
-                        let cont: KCont = Rc::new(move |m, y, buf| {
-                            let inner = Rc::clone(&inner);
-                            let start2: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
-                            run_seg(m, &act2, p.clone(), start2, &g2, buf)
-                        });
-                        return Ok(MRes::Stuck(StuckM {
-                            op: s.op,
-                            arg: s.arg,
-                            cont,
-                            choice: true,
-                        }));
-                    }
-                    None => {}
-                }
-                // (R5): bind p, x, l, k and run the clause body in place
-                // of the handle node (same g).
-                let clause = act.h.clause(&s.op).expect("checked above");
-                let ctl =
-                    HandlerCtl { act: Rc::clone(act), kont: Rc::clone(&s.cont), g: g.clone() };
-                let env = act
-                    .env
-                    .push(p)
-                    .push(s.arg)
-                    .push(MVal::Probe(ctl.clone()))
-                    .push(MVal::Resume(ctl));
-                let body = Arc::clone(&clause.body);
-                eval(m, &body, &env, g, buf)
-            } else {
+            let Some(clause) = act.h.clause(&s.op).filter(|_| !s.choice) else {
                 // Not ours (or an already-claimed choice yield): forward,
                 // re-entering this segment (with the parameter current at
                 // the stick) on resumption.
-                let (act2, g2, inner) = (Rc::clone(act), g.clone(), s.cont);
-                let cont: KCont = Rc::new(move |m, y, buf| {
-                    let inner = Rc::clone(&inner);
-                    let y2 = y;
-                    let start2: Seg = Rc::new(move |m, buf| inner(m, y2.clone(), buf));
-                    run_seg(m, &act2, p.clone(), start2, &g2, buf)
-                });
-                Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+                let cont = reenter(act, p, g, s.cont);
+                return Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }));
+            };
+            // Forced-choice interception: answer scripted decisions
+            // directly (`k(p, d)`), skipping the clause body; in tree
+            // mode, decisions past the scripted prefix suspend the whole
+            // run instead.
+            match &mut m.forced {
+                Some(f) if f.ops.contains(&s.op) => match f.next()? {
+                    Decision::Scripted(d) => {
+                        run_seg(m, act, p, Start::Resume(s.cont, MVal::bool(d)), g, buf)
+                    }
+                    // Suspend exactly where the scripted path would
+                    // resume: the choice continuation re-enters this
+                    // segment with the (later-supplied) decision, and
+                    // propagates out past every enclosing handler.
+                    Decision::Yield => {
+                        let cont = reenter(act, p, g, s.cont);
+                        Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: true }))
+                    }
+                },
+                _ => {
+                    // (R5): bind p, x, l, k and run the clause body in
+                    // place of the handle node (same g).
+                    let ctl = HandlerCtl { act: Rc::clone(act), kont: s.cont, g: g.clone() };
+                    let env = act
+                        .env
+                        .push(p)
+                        .push(s.arg)
+                        .push(MVal::Probe(ctl.clone()))
+                        .push(MVal::Resume(ctl));
+                    eval(m, &clause.body, &env, g, buf)
+                }
             }
         }
     }
+}
+
+/// The continuation that resumes `inner` inside this handler segment,
+/// under parameter `p`.
+fn reenter(act: &Rc<Activation>, p: MVal, g: &GVal, inner: KCont) -> KCont {
+    let (act, g) = (Rc::clone(act), g.clone());
+    Rc::new(move |m, y, buf| {
+        run_seg(m, &act, p.clone(), Start::Resume(Rc::clone(&inner), y), &g, buf)
+    })
 }
 
 /// Function application — β for closures, rule (R5)'s `k`/`l` for the
@@ -1190,21 +1091,17 @@ fn apply(m: &mut Machine, f: MVal, a: MVal, g: &GVal, buf: &mut LossBuf) -> Eval
         }
         MVal::Resume(ctl) => {
             // f_k(p₂, y) = ⟨with h from p₂ handle K[y]⟩_g.
-            let (p2, y) = split_pair(a)?;
-            let inner = Rc::clone(&ctl.kont);
-            let start: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
-            run_seg(m, &ctl.act, p2, start, &ctl.g, buf)
+            let [p2, y] = split_pair(a)?;
+            run_seg(m, &ctl.act, p2, Start::Resume(ctl.kont, y), &ctl.g, buf)
         }
         MVal::Probe(ctl) => {
             // f_l(p₂, y) = (with h from p₂ handle K[y]) ◮ g.
-            let (p2, y) = split_pair(a)?;
-            let inner = Rc::clone(&ctl.kont);
-            let start: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
+            let [p2, y] = split_pair(a)?;
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r = run_seg(m, &ctl.act, p2, start, &ctl.g, &mut cap);
+            let r = run_seg(m, &ctl.act, p2, Start::Resume(ctl.kont, y), &ctl.g, &mut cap);
             m.capture_depth -= 1;
-            then_finish(m, r?, cap, ctl.g.clone(), buf)
+            then_finish(m, r?, cap, ctl.g, buf)
         }
         other => Err(MachError::Malformed(format!("application of non-function {other:?}"))),
     }
@@ -1258,38 +1155,11 @@ fn const_val(c: &Const) -> MVal {
     }
 }
 
-fn inj(
-    m: &mut Machine,
-    (right, lty, rty, e): (bool, &Type, &Type, &Arc<Code>),
-    env: &Env,
-    g: &GVal,
-    buf: &mut LossBuf,
-) -> EvalR {
-    let (lty, rty) = (lty.clone(), rty.clone());
-    seq(
-        m,
-        vec![Arc::clone(e)],
-        env,
-        g,
-        buf,
-        Rc::new(move |_m, mut done, _buf| {
-            Ok(MRes::Done(MVal::Sum {
-                right,
-                lty: lty.clone(),
-                rty: rty.clone(),
-                val: Box::new(done.pop().expect("one child")),
-            }))
-        }),
-    )
-}
-
-fn split_pair(v: MVal) -> Result<(MVal, MVal), MachError> {
+fn split_pair(v: MVal) -> Result<[MVal; 2], MachError> {
     match v {
-        MVal::Tuple(mut vs) if vs.len() == 2 => {
-            let y = vs.pop().expect("two");
-            let p = vs.pop().expect("two");
-            Ok((p, y))
-        }
+        MVal::Tuple(vs) => <[MVal; 2]>::try_from(vs).map_err(|vs| {
+            MachError::Malformed(format!("handler continuation applied to {}-tuple", vs.len()))
+        }),
         other => {
             Err(MachError::Malformed(format!("handler continuation applied to non-pair {other:?}")))
         }
@@ -1562,42 +1432,62 @@ mod tests {
     }
 
     /// Full-tree DFS through explore/resume must reproduce every forced
-    /// path bit-identically (loss, terminal, decisions used).
+    /// path bit-identically (loss bits, terminal, decisions used), on the
+    /// decide chain and on generated search programs; and since their
+    /// losses are non-negative, every interior node's running total must
+    /// bound every leaf below it.
     #[test]
     fn tree_leaves_match_replayed_forced_runs() {
-        let p = crate::testgen::deep_decide_chain(4);
-        let compiled = compile(&p.expr).unwrap();
-        let ops = BTreeSet::from(["decide".to_owned()]);
-        let mut leaves: Vec<(u64, MachineOutcome)> = Vec::new();
-        fn dfs(r: Explored, bits: u64, depth: u32, leaves: &mut Vec<(u64, MachineOutcome)>) {
+        type Leaf = (u64, u32, MachineOutcome);
+        fn dfs(r: Explored, bits: u64, depth: u32, leaves: &mut Vec<Leaf>) {
             match r {
-                Explored::Done(out) => {
-                    assert_eq!(out.decisions_used, depth, "chain paths use every decision");
-                    leaves.push((bits, out));
-                }
+                Explored::Done(out) => leaves.push((bits, depth, out)),
                 Explored::Choice(point) => {
                     assert_eq!(point.depth(), depth);
+                    let first = leaves.len();
                     // `true` is bit 0, appended at the low end as the
                     // candidate encoding prescribes.
                     dfs(point.resume(true).unwrap(), bits << 1, depth + 1, leaves);
                     dfs(point.resume(false).unwrap(), (bits << 1) | 1, depth + 1, leaves);
+                    for (_, _, leaf) in &leaves[first..] {
+                        let order = point.partial_loss().cmp_scalar(&leaf.loss);
+                        assert_ne!(order, std::cmp::Ordering::Greater, "{point:?} over a leaf");
+                    }
                 }
             }
         }
-        dfs(explore(&compiled, tree_cfg(&["decide"], 0, 0, 4)).unwrap(), 0, 0, &mut leaves);
-        assert_eq!(leaves.len(), 16);
-        for (bits, out) in leaves {
-            let forced = run_with(
-                &compiled,
-                RunConfig {
-                    forced: Some(ForcedChoices { ops: ops.clone(), bits, max_decisions: 4 }),
-                    ..RunConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(out.loss, forced.loss, "bits {bits:#b}");
-            assert_eq!(out.ground_value(), forced.ground_value(), "bits {bits:#b}");
-            assert_eq!(out.decisions_used, forced.decisions_used, "bits {bits:#b}");
+        let loss_bits = |l: &LossVal| l.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut programs = vec![(crate::testgen::deep_decide_chain(4), 4)];
+        for seed in 0..6 {
+            for max in 1..=5 {
+                let mut gen = crate::testgen::ProgramGen::new(seed);
+                programs.push((gen.gen_search_program(max), max));
+            }
+        }
+        for (p, max) in programs {
+            let compiled = compile(&p.expr).unwrap();
+            let mut leaves = Vec::new();
+            dfs(explore(&compiled, tree_cfg(&["decide"], 0, 0, max)).unwrap(), 0, 0, &mut leaves);
+            assert_eq!(leaves.len(), 1 << max, "chain paths use every decision");
+            for (bits, used, out) in leaves {
+                let bits = bits << (max - used);
+                let forced = run_with(
+                    &compiled,
+                    RunConfig {
+                        forced: Some(ForcedChoices {
+                            ops: BTreeSet::from(["decide".to_owned()]),
+                            bits,
+                            max_decisions: max,
+                        }),
+                        ..RunConfig::default()
+                    },
+                )
+                .unwrap();
+                assert_eq!(loss_bits(&out.loss), loss_bits(&forced.loss), "bits {bits:#b}");
+                assert_eq!(out.ground_value(), forced.ground_value(), "bits {bits:#b}");
+                assert_eq!(out.decisions_used, used, "bits {bits:#b}");
+                assert_eq!(out.decisions_used, forced.decisions_used, "bits {bits:#b}");
+            }
         }
     }
 

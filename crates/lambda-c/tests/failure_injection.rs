@@ -201,3 +201,32 @@ fn well_foundedness_reports_the_cycle() {
         other => panic!("expected NotWellFounded, got {other:?}"),
     }
 }
+
+#[test]
+fn machine_reports_ill_shaped_nodes_as_malformed() {
+    // Compilation checks only scoping, so ill-typed programs reach the
+    // machine: each must fail its own run with a structured error.
+    use lambda_c::compile::compile;
+    use lambda_c::machine::{self, MachError};
+    let e0 = Effect::empty();
+    let k_of_unit = HandlerBuilder::new("amb", Type::unit(), Type::unit(), e0.clone())
+        .on("decide", "p", "x", "l", "k", app(v("k"), unit()))
+        .build();
+    let cases = [
+        (proj(lc(1.0), 0), "projection"),
+        (Expr::Succ(ch('a').rc()), "succ"),
+        (Expr::Cons(lc(1.0).rc(), lc(2.0).rc()), "cons"),
+        (if_(lc(1.0), unit(), unit()), "cases"),
+        (loss(ch('a')), "loss"),
+        (app(lc(1.0), lc(2.0)), "application"),
+        (Expr::Iter(lc(1.0).rc(), lc(0.0).rc(), lc(0.0).rc()), "iter"),
+        (Expr::Fold(lc(1.0).rc(), lc(0.0).rc(), lc(0.0).rc()), "fold"),
+        (handle0(k_of_unit, op("decide", unit())), "handler continuation"),
+    ];
+    for (e, what) in cases {
+        match machine::run(&compile(&e).unwrap()) {
+            Err(MachError::Malformed(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected Malformed for {what}, got {other:?}"),
+        }
+    }
+}

@@ -20,7 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use selc_cache::{CacheStats, ShardedCache, SharedCache};
 use selc_engine::ParallelEngine;
 use selc_games::transposition::{solve_root_split, SymTree, TransCache};
-use selc_ml::parallel::{tune_lr_parallel, tune_lr_parallel_cached};
+use selc_ml::parallel::tune_lr_parallel;
 use std::sync::Arc;
 
 fn smoke() -> bool {
@@ -114,33 +114,33 @@ fn bench_hyper_grid(c: &mut Criterion) {
     let eng = engine();
     let mut g = c.benchmark_group("e13_cache/hyper_grid");
     g.bench_function("uncached", |b| {
-        b.iter(|| black_box(tune_lr_parallel(&eng, grid.clone(), 1, program)));
+        b.iter(|| black_box(tune_lr_parallel(&eng, grid.clone(), 1, program, None)));
     });
     g.bench_function("cached_cold", |b| {
         b.iter(|| {
             let cache: SharedCache<u64, f64> = Arc::new(ShardedCache::unbounded(4));
-            black_box(tune_lr_parallel_cached(&eng, grid.clone(), 1, program, &cache))
+            black_box(tune_lr_parallel(&eng, grid.clone(), 1, program, Some(&cache)))
         });
     });
     g.bench_function("cached_bounded2", |b| {
         b.iter(|| {
             let cache: SharedCache<u64, f64> = Arc::new(ShardedCache::clock_lru(2, 2));
-            black_box(tune_lr_parallel_cached(&eng, grid.clone(), 1, program, &cache))
+            black_box(tune_lr_parallel(&eng, grid.clone(), 1, program, Some(&cache)))
         });
     });
     let warm: SharedCache<u64, f64> = Arc::new(ShardedCache::unbounded(4));
-    let _ = tune_lr_parallel_cached(&eng, grid.clone(), 1, program, &warm);
+    let _ = tune_lr_parallel(&eng, grid.clone(), 1, program, Some(&warm));
     g.bench_function("cached_warm", |b| {
-        b.iter(|| black_box(tune_lr_parallel_cached(&eng, grid.clone(), 1, program, &warm)));
+        b.iter(|| black_box(tune_lr_parallel(&eng, grid.clone(), 1, program, Some(&warm))));
     });
     g.finish();
 
-    let uncached = tune_lr_parallel(&eng, grid.clone(), 1, program);
+    let uncached = tune_lr_parallel(&eng, grid.clone(), 1, program, None);
     let cache: SharedCache<u64, f64> = Arc::new(ShardedCache::unbounded(4));
-    let cold = tune_lr_parallel_cached(&eng, grid.clone(), 1, program, &cache);
+    let cold = tune_lr_parallel(&eng, grid.clone(), 1, program, Some(&cache));
     assert_eq!(cold.alpha, uncached.alpha, "cached and uncached winners agree");
     report("e13_cache/hyper_grid/cached_cold", &cold.stats.cache);
-    let warm_out = tune_lr_parallel_cached(&eng, grid, 1, program, &cache);
+    let warm_out = tune_lr_parallel(&eng, grid, 1, program, Some(&cache));
     assert_eq!(warm_out.alpha, uncached.alpha);
     report("e13_cache/hyper_grid/cached_warm", &warm_out.stats.cache);
 }

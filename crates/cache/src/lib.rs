@@ -30,7 +30,7 @@
 //! * [`SubtreeSummary`] / [`SummaryStats`] — interior-node subtree
 //!   summaries for tree search: exact entries carry a subtree's argmin,
 //!   bound entries a lower bound from a pruned walk (see [`summary`]).
-//! * [`env`] — the `SELC_CACHE_SHARDS` / `SELC_CACHE_CAP` /
+//! * [`mod@env`] — the `SELC_CACHE_SHARDS` / `SELC_CACHE_CAP` /
 //!   `SELC_SUMMARIES` knobs and the one environment parser
 //!   (`env_usize`) shared with `SELC_THREADS`.
 //!

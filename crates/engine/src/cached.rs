@@ -24,9 +24,8 @@
 //!   bound, not a loss.
 
 use crate::bound::SharedBound;
-use crate::engine::{CandidateEval, Engine, Outcome};
-use crate::replay::SelEval;
-use selc::{OrderedLoss, ReplaySpace};
+use crate::engine::CandidateEval;
+use selc::OrderedLoss;
 use selc_cache::{CacheStats, ShardedCache};
 use std::hash::Hash;
 
@@ -81,41 +80,11 @@ where
     }
 }
 
-/// [`crate::search_programs`] through a shared cache: argmin by recorded
-/// loss over `factory(0..space)`, with candidate `i`'s loss cached under
-/// `key(i)` — repeated searches against the same handle (and concurrent
-/// workers within one search whose keys collide meaningfully) skip the
-/// replay entirely. One extra replay of the winner recovers its value.
-/// Returns `None` for an empty space.
-pub fn search_programs_cached<L, A, R, G, K, F>(
-    engine: &G,
-    space: usize,
-    factory: R,
-    cache: &ShardedCache<K, L>,
-    key: F,
-) -> Option<(Outcome<L>, A)>
-where
-    L: OrderedLoss,
-    A: Clone + 'static,
-    R: ReplaySpace<L, A>,
-    G: Engine,
-    K: Eq + Hash + Send + 'static,
-    F: Fn(usize) -> K + Send + Sync,
-{
-    let inner = SelEval::new(factory);
-    let cached = CachedEval::new(&inner, cache, key);
-    let outcome = engine.search(space, &cached)?;
-    let (_, value) = inner
-        .rebuild(outcome.index)
-        .run()
-        .expect("replayed winner reached the top level with an unhandled operation");
-    Some((outcome, value))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{minimize, FnEval, ParallelEngine, SequentialEngine};
+    use crate::engine::{minimize, Engine, FnEval, ParallelEngine, SequentialEngine};
+    use crate::replay::SelEval;
     use selc::loss;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -186,14 +155,11 @@ mod tests {
         let cache: ShardedCache<usize, f64> = ShardedCache::unbounded(3);
         for round in 0..2 {
             let cs = cs2.clone();
-            let (out, val) = search_programs_cached(
-                &ParallelEngine::with_threads(4),
-                5,
-                move |i: usize| loss(cs[i]).map(move |_| i * 10),
-                &cache,
-                |i| i,
-            )
-            .unwrap();
+            let inner = SelEval::new(move |i: usize| loss(cs[i]).map(move |_| i * 10));
+            let out = ParallelEngine::with_threads(4)
+                .search(5, &CachedEval::new(&inner, &cache, |i| i))
+                .unwrap();
+            let (_, val) = inner.rebuild(out.index).run().unwrap();
             assert_eq!((out.index, out.loss, val), (plain.index, plain.loss, plain_val));
             if round == 1 {
                 assert_eq!(out.stats.cache.hits, 5, "second search fully cached");

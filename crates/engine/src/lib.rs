@@ -39,9 +39,13 @@
 //!   work distribution over the saturating [`queue::WorkQueue`] —
 //!   bit-identical winners to the flat scan at O(tree nodes) cost.
 //!
-//! Downstream, `selc-games` root-splits minimax and n-queens,
-//! `selc-ml` batches hyperparameter grids, and `selection::par` exposes
-//! plain parallel argmin/product adapters — all through this engine.
+//! The engine has two fan-outs, and only two: [`ParallelEngine`]'s
+//! candidate scan and [`TreeEngine`]'s subtree walk. Downstream, every
+//! parallel workload has one entry point that takes its [`Engine`]
+//! explicitly — `selc-games` root-splits minimax and n-queens, `selc-ml`
+//! batches `tuneLR` grids (optionally through a shared rate cache) and
+//! tunes whole training runs, and `selection::par` exposes parallel
+//! argmin (plain or cached) and the root-split product.
 
 pub mod bound;
 pub mod cached;
@@ -53,7 +57,7 @@ pub mod threads;
 pub mod tree;
 
 pub use bound::SharedBound;
-pub use cached::{search_programs_cached, CachedEval};
+pub use cached::CachedEval;
 pub use cancel::CancelToken;
 pub use engine::{
     minimize, CandidateEval, Engine, FnEval, Outcome, ParallelEngine, SearchResult, SearchStats,
@@ -62,6 +66,4 @@ pub use engine::{
 pub use queue::WorkQueue;
 pub use replay::{search_programs, CacheStatsSink, SelEval};
 pub use threads::{configured_threads, THREADS_ENV};
-pub use tree::{
-    parallel_subtrees, parallel_subtrees_with, SummaryProbe, TreeEngine, TreeEval, TreeStep,
-};
+pub use tree::{SummaryProbe, TreeEngine, TreeEval, TreeStep};

@@ -59,7 +59,6 @@ use crate::threads::configured_threads;
 use selc::OrderedLoss;
 use selc_cache::{CacheStats, SubtreeSummary, SummaryStats};
 use selc_obs::{trace, SpanLabel};
-use std::sync::Mutex;
 
 /// Span label for one claimed subtree's depth-first descent; the span
 /// argument is the subtree's prefix bits, so a trace row shows *which*
@@ -719,83 +718,11 @@ fn estimate<N, L>(step: &TreeStep<N, L>) -> Option<&L> {
     }
 }
 
-/// Distributes `count` independent subtree tasks over a worker pool
-/// (saturating claim queue, one subtree per claim) and returns the
-/// results **in task-index order** — so any merge the caller folds over
-/// them is deterministic regardless of which worker ran what.
-/// `threads == 0` means [`configured_threads`]. Used by the tree engine's
-/// cousins that are not leaf-argmins (e.g. parallel alpha-beta in
-/// `selc-games`, where interior nodes alternate min/max).
-///
-/// # Panics
-///
-/// Panics if a task panics.
-pub fn parallel_subtrees<R, F>(threads: usize, count: usize, task: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    parallel_subtrees_with(threads, count, &CancelToken::never(), task)
-        .expect("a never token cannot cancel")
-}
-
-/// [`parallel_subtrees`] under a [`CancelToken`]: workers stop claiming
-/// subtrees once the token fires (within one task of cancellation) and
-/// the call returns `None` — an incomplete task-result vector has no
-/// deterministic merge, so cancellation yields nothing rather than a
-/// silently partial fold. `Some` results are always complete.
-///
-/// # Panics
-///
-/// Panics if a task panics.
-pub fn parallel_subtrees_with<R, F>(
-    threads: usize,
-    count: usize,
-    cancel: &CancelToken,
-    task: F,
-) -> Option<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    let threads =
-        (if threads == 0 { configured_threads() } else { threads }).max(1).min(count.max(1));
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            out.push(task(i));
-        }
-        return Some(out);
-    }
-    let queue = WorkQueue::new(count);
-    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let work = || {
-        while let Some((i, _)) = queue.claim_unless(1, cancel) {
-            let r = task(i);
-            *slots[i].lock().expect("subtree slot poisoned") = Some(r);
-        }
-    };
-    // The caller is worker 0: one spawn fewer per call.
-    std::thread::scope(|s| {
-        for _ in 1..threads {
-            s.spawn(work);
-        }
-        work();
-    });
-    let mut out = Vec::with_capacity(count);
-    for slot in slots {
-        out.push(slot.into_inner().expect("subtree slot poisoned")?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{minimize, SequentialEngine};
+    use std::sync::Mutex;
 
     /// A synthetic full-depth tree over a flat loss table: node = prefix,
     /// leaf loss = table[path], hints = prefix minimum (a true lower
@@ -1208,31 +1135,6 @@ mod tests {
         assert_eq!((third.index, third.loss), (flat.index, flat.loss));
         assert_eq!(third.stats.summary.exact_hits, 1, "stats: {:?}", third.stats);
         assert_eq!(third.stats.evaluated, 0);
-    }
-
-    #[test]
-    fn parallel_subtrees_returns_results_in_index_order() {
-        for threads in [0, 1, 2, 5] {
-            let out = parallel_subtrees(threads, 23, |i| i * i);
-            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "threads {threads}");
-        }
-        assert!(parallel_subtrees(3, 0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn cancelled_parallel_subtrees_return_none_instead_of_a_partial_fold() {
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        for threads in [1, 3] {
-            assert!(
-                parallel_subtrees_with(threads, 10, &cancel, |i| i).is_none(),
-                "threads {threads}"
-            );
-        }
-        assert_eq!(
-            parallel_subtrees_with(2, 4, &CancelToken::never(), |i| i + 1),
-            Some(vec![1, 2, 3, 4])
-        );
     }
 
     #[test]

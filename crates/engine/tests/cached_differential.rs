@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use selc::loss;
 use selc_cache::ShardedCache;
 use selc_engine::{
-    minimize, search_programs, search_programs_cached, CachedEval, Engine, FnEval, ParallelEngine,
+    minimize, search_programs, CachedEval, Engine, FnEval, ParallelEngine, SelEval,
     SequentialEngine,
 };
 
@@ -129,9 +129,9 @@ proptest! {
         ).unwrap();
         let cache: ShardedCache<usize, f64> = ShardedCache::from_env();
         for eng in engines() {
-            let (out, val) = search_programs_cached(
-                &eng, losses.len(), mk_factory(losses.clone()), &cache, |i| i,
-            ).unwrap();
+            let inner = SelEval::new(mk_factory(losses.clone()));
+            let out = eng.search(losses.len(), &CachedEval::new(&inner, &cache, |i| i)).unwrap();
+            let (_, val) = inner.rebuild(out.index).run().unwrap();
             prop_assert_eq!(out.index, plain.index);
             prop_assert_eq!(out.loss, plain.loss);
             prop_assert_eq!(val, plain_val);

@@ -238,15 +238,7 @@ impl GameTree {
     /// tie-breaking included. Works at any depth (no handler-effect
     /// limit).
     pub fn solve_alphabeta(&self) -> (Vec<usize>, f64) {
-        self.solve_alphabeta_from(&[])
-    }
-
-    /// Solves the subgame below the fixed move `prefix` with local
-    /// strict-cutoff alpha–beta (a fresh window — cross-subtree bounds
-    /// would make the cut set depend on sibling timing). Building block
-    /// of the parallel full-tree solver in [`crate::parallel`].
-    pub(crate) fn solve_alphabeta_from(&self, prefix: &[usize]) -> (Vec<usize>, f64) {
-        let mut path = prefix.to_vec();
+        let mut path = Vec::new();
         let mut leaves = 0;
         let never = selc_engine::CancelToken::never();
         self.alphabeta(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves, None, &never)
@@ -589,31 +581,6 @@ mod tests {
         let t1 = GameTree::random(5, 1, 0);
         let (_, l1) = core(&t1, None);
         assert_eq!(l1, 5);
-    }
-
-    #[test]
-    fn alphabeta_from_a_prefix_solves_the_subgame() {
-        let t = GameTree::random(2, 4, 3);
-        let (play, value) = t.solve_alphabeta_from(&[1, 0]);
-        assert_eq!(&play[..2], &[1, 0], "the prefix is kept");
-        // The subgame below [1, 0] restarts with the maximiser (ply 2):
-        // check against a brute-force scan of the 4 completions.
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        for m2 in 0..2 {
-            let mut worst: Option<(Vec<usize>, f64)> = None;
-            for m3 in 0..2 {
-                let p = vec![1, 0, m2, m3];
-                let v = t.leaf(&p);
-                if worst.as_ref().is_none_or(|(_, wv)| v < *wv) {
-                    worst = Some((p, v));
-                }
-            }
-            let w = worst.expect("two moves");
-            if best.as_ref().is_none_or(|(_, bv)| w.1 > *bv) {
-                best = Some(w);
-            }
-        }
-        assert_eq!((play, value), best.expect("two moves"));
     }
 
     #[test]

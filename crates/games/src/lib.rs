@@ -17,8 +17,9 @@
 //!   Hartmann–Gibbons);
 //! * [`alternating`] — multi-round alternating game trees: handler-driven
 //!   backward induction vs. an explicit negamax baseline;
-//! * [`parallel`] — the same games on the `selc-engine` worker pool:
-//!   root-split minimax (with branch-and-bound row pruning) and
+//! * [`parallel`] — the same games on a caller-chosen `selc-engine`
+//!   engine: one entry point each for root-split minimax (with
+//!   branch-and-bound row pruning and the engine's telemetry) and
 //!   root-split queens, bit-identical to their sequential counterparts;
 //! * [`transposition`] — transposition-table minimax over `selc-cache`:
 //!   alternating games keyed on canonicalised state, repeated subtrees

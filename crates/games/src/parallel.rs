@@ -1,5 +1,5 @@
 //! Engine-backed game solving: root-split parallel minimax and parallel
-//! n-queens.
+//! n-queens, one entry point each, both taking the engine explicitly.
 //!
 //! The root split is the classic parallelisation of backward induction:
 //! the first mover's candidates are independent subgames, so each worker
@@ -9,15 +9,13 @@
 //! deterministic `(loss, index)` reduction keeps the chosen play
 //! bit-identical to the sequential `hmax ∘ hmin` nesting, and its
 //! branch-and-bound bound prunes rows whose best conceivable value
-//! (the row maximum) cannot beat a value some worker already achieved.
+//! (the row minimum — the exact subgame value, see `RowEval`) cannot
+//! beat a value some worker already achieved.
 
-use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
-use selc_engine::{
-    parallel_subtrees, search_programs, CandidateEval, Engine, Outcome, ParallelEngine, SharedBound,
-};
+use selc_engine::{CandidateEval, Engine, Outcome, SharedBound};
 use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
@@ -55,15 +53,10 @@ impl CandidateEval<f64> for RowEval {
 /// Root-split parallel minimax: distributes the maximiser's rows over
 /// the engine's worker pool, each worker solving the minimiser's reply
 /// with the ordinary `hmin` handler. Returns `((row, col), value)`,
-/// bit-identical to [`crate::minimax::minimax_handler`].
-pub fn minimax_root_split(table: &Matrix, engine: &impl Engine) -> ((usize, usize), f64) {
-    let (play, value, _) = minimax_root_split_stats(table, engine);
-    (play, value)
-}
-
-/// [`minimax_root_split`] plus the engine's search telemetry (how many
-/// rows were evaluated vs. pruned by the shared bound).
-pub fn minimax_root_split_stats(
+/// bit-identical to [`crate::minimax::minimax_handler`], plus the
+/// engine's search telemetry (how many rows were evaluated vs. pruned by
+/// the shared bound).
+pub fn minimax_root_split(
     table: &Matrix,
     engine: &impl Engine,
 ) -> ((usize, usize), f64, Outcome<f64>) {
@@ -77,23 +70,17 @@ pub fn minimax_root_split_stats(
     ((a, b), value, outcome)
 }
 
-/// Root-split parallel minimax with the default (`SELC_THREADS`) pool.
-pub fn minimax_parallel(table: &Matrix) -> ((usize, usize), f64) {
-    minimax_root_split(table, &ParallelEngine::auto())
-}
-
-/// Parallel n-queens: splits the first queen's column over the worker
-/// pool; each worker finishes the board with the usual product of
+/// Parallel n-queens: splits the first queen's column over the engine's
+/// worker pool; each worker finishes the board with the usual product of
 /// per-row `argmin` selections under the global attack-count loss.
-/// Returns the same placement as [`crate::queens::queens_selection`].
-pub fn queens_parallel(n: usize) -> Vec<usize> {
-    queens_parallel_with(&ParallelEngine::auto(), n)
-}
-
-/// [`queens_parallel`] with an explicit engine.
-pub fn queens_parallel_with(engine: &impl Engine, n: usize) -> Vec<usize> {
+/// Returns the same placement as [`crate::queens::queens_selection`],
+/// including the empty board for `n = 0`.
+pub fn queens_parallel(engine: &impl Engine, n: usize) -> Vec<usize> {
     use selection::product::Stage;
     use std::rc::Rc;
+    if n == 0 {
+        return Vec::new();
+    }
     let rest = move || -> Vec<Stage<usize, f64>> {
         (1..n)
             .map(|_| {
@@ -102,80 +89,9 @@ pub fn queens_parallel_with(engine: &impl Engine, n: usize) -> Vec<usize> {
             })
             .collect()
     };
-    selection::par::par_product_root_with(engine, (0..n).collect(), rest, |p: &[usize]| {
+    selection::par::par_product_root(engine, (0..n).collect(), rest, |p: &[usize]| {
         crate::queens::attacks(p) as f64
     })
-}
-
-/// Full-tree parallel alpha–beta: where [`minimax_root_split`] stops at
-/// the first mover's moves, this distributes *every* subtree at `split`
-/// plies — `branching^split` independent work items claimed from the
-/// engine's saturating subtree queue ([`parallel_subtrees`], the same
-/// distribution the λC tree search uses) — and solves each with local
-/// strict-cutoff alpha–beta (`GameTree::solve_alphabeta_from`).
-/// Subtree results come back in lexicographic move order and the shared
-/// top plies fold by backward induction over that fixed order, so the
-/// play and value are bit-identical to [`GameTree::solve_backward`]
-/// regardless of worker timing. `threads == 0` means `SELC_THREADS`.
-///
-/// # Panics
-///
-/// Panics on a degenerate tree (`solve_backward` panics identically).
-pub fn alphabeta_parallel(t: &GameTree, threads: usize, split: usize) -> (Vec<usize>, f64) {
-    let split = split.min(t.depth);
-    let count = t.branching.pow(split as u32);
-    let results = parallel_subtrees(threads, count, |i| {
-        // Decode work item `i` into its move prefix, most significant
-        // ply first (lexicographic order = move order at every level).
-        let mut prefix = vec![0_usize; split];
-        let mut rem = i;
-        for slot in prefix.iter_mut().rev() {
-            *slot = rem % t.branching;
-            rem /= t.branching;
-        }
-        t.solve_alphabeta_from(&prefix)
-    });
-    // Fold the shared top plies: at ply `p` the maximiser moves iff `p`
-    // is even, ties towards the smaller move index — the in-order scan
-    // below keeps the first of equals, which *is* the smaller move.
-    let mut level = results;
-    for p in (0..split).rev() {
-        let maximising = p % 2 == 0;
-        level = level
-            .chunks(t.branching)
-            .map(|group| {
-                group
-                    .iter()
-                    .fold(None::<&(Vec<usize>, f64)>, |best, cand| match best {
-                        None => Some(cand),
-                        Some(b)
-                            if (maximising && cand.1 > b.1) || (!maximising && cand.1 < b.1) =>
-                        {
-                            Some(cand)
-                        }
-                        keep => keep,
-                    })
-                    .expect("branching > 0")
-                    .clone()
-            })
-            .collect();
-    }
-    level.into_iter().next().expect("one root result")
-}
-
-/// Demonstration wrapper used by the example and benches: replays a
-/// whole minimax table search as a family of `Sel` programs through
-/// [`selc_engine::search_programs`], returning the winning row's value.
-pub fn minimax_best_row_value(table: &Matrix, engine: &impl Engine) -> (usize, f64) {
-    let rows = table.rows();
-    let table = Arc::new(table.clone());
-    let factory = move |a: usize| {
-        let t = Arc::clone(&table);
-        handle(&hmin(), subgame(t, a)).map_loss(|l| -l)
-    };
-    let (outcome, _col) = search_programs(engine, rows, factory)
-        .unwrap_or_else(|| unreachable!("matrices are non-empty"));
-    (outcome.index, -outcome.loss)
 }
 
 #[cfg(test)]
@@ -183,12 +99,18 @@ mod tests {
     use super::*;
     use crate::minimax::{minimax_handler, minimax_selection};
     use crate::queens::{attacks, queens_selection};
-    use selc_engine::SequentialEngine;
+    use selc_engine::{ParallelEngine, SequentialEngine};
+
+    /// The play and value of a root-split solve, telemetry dropped.
+    fn solve(m: &Matrix, engine: &impl Engine) -> ((usize, usize), f64) {
+        let (play, value, _) = minimax_root_split(m, engine);
+        (play, value)
+    }
 
     #[test]
     fn root_split_solves_the_paper_example() {
         let m = Matrix::paper_example();
-        assert_eq!(minimax_parallel(&m), ((0, 1), 3.0));
+        assert_eq!(solve(&m, &ParallelEngine::auto()), ((0, 1), 3.0));
     }
 
     #[test]
@@ -201,14 +123,14 @@ mod tests {
                 for prune in [false, true] {
                     let eng = ParallelEngine { threads, chunk: 1, prune };
                     assert_eq!(
-                        minimax_root_split(&m, &eng),
+                        solve(&m, &eng),
                         expected,
                         "seed {seed} threads {threads} prune {prune}"
                     );
                 }
             }
             assert_eq!(
-                minimax_root_split(&m, &SequentialEngine::pruning()),
+                solve(&m, &SequentialEngine::pruning()),
                 expected,
                 "seed {seed} sequential+prune"
             );
@@ -217,74 +139,28 @@ mod tests {
 
     #[test]
     fn pruning_skips_dominated_rows() {
-        // Row 0 achieves value 5; rows 1.. have maxima below 5, so with a
+        // Row 0 achieves value 5; rows 1.. have minima below 5, so with a
         // chunk covering row 0 first the rest are pruned.
         let mut rows = vec![vec![5.0, 6.0, 7.0]];
         for i in 0..6 {
             rows.push(vec![1.0 + f64::from(i) * 0.1; 3]);
         }
         let m = Matrix::new(rows);
-        let (play, value, outcome) = minimax_root_split_stats(&m, &SequentialEngine::pruning());
+        let (play, value, outcome) = minimax_root_split(&m, &SequentialEngine::pruning());
         assert_eq!((play, value), ((0, 0), 5.0));
         assert_eq!(outcome.stats.pruned, 6, "stats: {:?}", outcome.stats);
     }
 
     #[test]
     fn queens_parallel_matches_selection_product() {
-        for n in [1, 4, 5] {
-            let par = queens_parallel(n);
+        let eng = ParallelEngine::auto();
+        for n in [0, 1, 4, 5] {
+            let par = queens_parallel(&eng, n);
             let seq = queens_selection(n);
             assert_eq!(par, seq, "n = {n}");
         }
         // Unsolvable boards still minimise attacks identically.
-        assert_eq!(attacks(&queens_parallel(3)), 1);
-        assert_eq!(queens_parallel(3), queens_selection(3));
-    }
-
-    #[test]
-    fn parallel_alphabeta_matches_backward_induction_across_splits() {
-        for seed in 0..8 {
-            for (branching, depth) in [(2, 5), (3, 4)] {
-                let t = GameTree::random(branching, depth, seed);
-                let expected = t.solve_backward();
-                for threads in [1, 2, 4] {
-                    for split in [0, 1, 2, 3] {
-                        assert_eq!(
-                            alphabeta_parallel(&t, threads, split),
-                            expected,
-                            "seed {seed} b {branching} d {depth} threads {threads} split {split}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_alphabeta_keeps_leftmost_ties_under_contention() {
-        // All-equal leaves: every play ties, and the leftmost must win
-        // no matter how workers interleave.
-        let t = GameTree { branching: 3, depth: 4, leaves: vec![1.0; 81] };
-        let expected = t.solve_backward();
-        assert_eq!(expected.0, vec![0, 0, 0, 0]);
-        for _ in 0..5 {
-            assert_eq!(alphabeta_parallel(&t, 4, 2), expected);
-        }
-    }
-
-    #[test]
-    fn parallel_alphabeta_split_deeper_than_the_tree_is_clamped() {
-        let t = GameTree::random(2, 2, 1);
-        assert_eq!(alphabeta_parallel(&t, 2, 9), t.solve_backward());
-    }
-
-    #[test]
-    fn best_row_value_agrees_with_maximin() {
-        for seed in 0..10 {
-            let m = Matrix::random(4, 4, seed);
-            let (row, value) = minimax_best_row_value(&m, &ParallelEngine::with_threads(2));
-            let (br, _bc, bv) = m.maximin();
-            assert_eq!((row, value), (br, bv), "seed {seed}");
-        }
+        assert_eq!(attacks(&queens_parallel(&eng, 3)), 1);
+        assert_eq!(queens_parallel(&eng, 3), queens_selection(3));
     }
 }

@@ -25,7 +25,7 @@
 //!   candidate can neither win nor tie); partial-loss domination is a
 //!   true lower bound only when remaining emissions cannot be negative,
 //!   so enabling it asserts non-negative losses — which the search
-//!   corpus ([`lambda_c::testgen::gen_search_program`]) guarantees.
+//!   corpus ([`lambda_c::testgen::ProgramGen::gen_search_program`]) guarantees.
 //!   Pruned candidates are never cached (`Pruned` is a fact about the
 //!   current bound, not a loss).
 

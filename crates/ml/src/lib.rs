@@ -18,9 +18,10 @@
 //!   vs. an ε-greedy baseline;
 //! * [`saddle`] — GAN-style min-max training: descent and ascent handlers
 //!   sharing one recorded value function (§4.3's GAN remark);
-//! * [`parallel`] — hyperparameter search on the `selc-engine` worker
-//!   pool: chunked parallel `tuneLR` (replay per worker, memoised batch
-//!   probes) and branch-and-bound tuning over whole training runs.
+//! * [`parallel`] — hyperparameter search on a caller-chosen
+//!   `selc-engine` engine: chunked parallel `tuneLR` (replay per worker,
+//!   batch probes memoised per batch or through an optional shared rate
+//!   cache) and branch-and-bound tuning over whole training runs.
 
 pub mod bandit;
 pub mod dataset;

@@ -1,21 +1,21 @@
 //! Engine-backed hyperparameter search (§4.3 "Hyperparameters" at
-//! scale): chunked parallel grid search over replayed programs, and
+//! scale): chunked parallel `tuneLR` over replayed programs, and
 //! branch-and-bound training-run tuning.
 //!
-//! Three layers, all bit-identical in their winners to the sequential
+//! Two workloads, one entry point each (plus the cancellable form of
+//! the second), all bit-identical in their winners to the sequential
 //! scans they parallelise (for NaN-free losses — see `selection::par`
 //! for the `total_cmp` vs. `<` caveat; diverging training runs may
 //! reach `+∞`, which both orders treat identically, but must not reach
 //! `NaN`):
 //!
-//! * [`grid_search`] — generic parallel argmin over a parameter grid
-//!   with a plain loss closure;
 //! * [`tune_lr_parallel`] — the paper's `tuneLR` distributed: the grid
 //!   is split into **batches**, each worker replays the program (`Sel`
 //!   trees cannot cross threads — factories do) and probes its batch
 //!   through the sequential memoised tuner, and the engine merges batch
-//!   winners deterministically. The per-batch [`selc::MemoChoice`]
-//!   counters flow into the engine's [`SearchStats::memo`] telemetry;
+//!   winners deterministically. Probes memoise per batch, or through an
+//!   optional shared rate cache; either way the counters flow into the
+//!   engine's [`SearchStats::cache`] telemetry;
 //! * [`tune_training_run`] — grid search over whole SGD training runs
 //!   scored by cumulative training loss, with early abort: the running
 //!   loss total is monotone (squared errors are non-negative), hence a
@@ -47,38 +47,31 @@ pub struct TuneOutcome {
     pub stats: SearchStats,
 }
 
-/// Generic parallel grid search: first `params` entry minimising `loss`,
-/// evaluated on the engine's pool. Same winner as a sequential
-/// first-minimum scan.
-///
-/// # Panics
-///
-/// Panics if `params` is empty.
-pub fn grid_search<P, F, G>(engine: &G, params: Vec<P>, loss: F) -> (P, f64, SearchStats)
-where
-    P: Clone + Send + Sync + 'static,
-    F: Fn(&P) -> f64 + Send + Sync,
-    G: Engine,
-{
-    assert!(!params.is_empty(), "grid_search needs at least one candidate");
-    let out =
-        selc_engine::minimize(engine, params.len(), |i| loss(&params[i])).expect("non-empty grid");
-    (params[out.index].clone(), out.loss, out.stats)
-}
-
 /// A chunked tuner handler: probes exactly `batch` through the memoised
-/// grid scan and *returns* the best `(rate, error)` pair. The handler's
-/// answer for a program that never reads the rate is the batch's first
-/// entry with infinite error, so empty-probe batches lose to any batch
-/// that probed.
+/// grid scan and *returns* the best `(rate, error)` pair. With no
+/// `cache`, each probe activation memoises in its own [`selc::LocalCache`]
+/// and merges its counters into `sink`; with one, probes go through the
+/// [`SharedCache`] keyed on the rate's bits, so a rate any worker (or
+/// any earlier batch, or any earlier *search*) already probed is
+/// answered without running the future — sound for replays of one
+/// program factory, because probing is pure and the cached error is
+/// bit-identical to a recomputed one. The handler's answer for a
+/// program that never reads the rate is the batch's first entry with
+/// infinite error, so empty-probe batches lose to any batch that probed.
 fn tune_batch_handler<A: Clone + 'static>(
     batch: Vec<f64>,
+    cache: Option<SharedCache<u64, f64>>,
     sink: Rc<RefCell<CacheStats>>,
 ) -> Handler<f64, A, (f64, f64)> {
     let default = batch[0];
+    let key = |r: &f64| r.to_bits();
     Handler::builder::<Lr>()
         .on::<crate::hyper::Lrate>(move |(), l, _k| {
-            let memo = MemoChoice::with_key(&l, |r: &f64| r.to_bits());
+            if let Some(cache) = &cache {
+                let memo = MemoChoice::with_cache(&l, key, Arc::clone(cache));
+                return probe_grid_argmin(&memo, batch.clone());
+            }
+            let memo = MemoChoice::with_key(&l, key);
             let sink = Rc::clone(&sink);
             let m2 = memo.clone();
             probe_grid_argmin(&memo, batch.clone()).map(move |best| {
@@ -93,14 +86,18 @@ fn tune_batch_handler<A: Clone + 'static>(
 
 /// Evaluator for [`tune_lr_parallel`]: candidate `i` is the `i`-th batch
 /// of the grid; its loss is the best probed error inside the batch.
-struct BatchEval<P, A> {
+/// Cache telemetry is the per-batch memo counters summed in `sink`, or,
+/// with a shared `cache`, this search's delta against `base`.
+struct BatchEval<'c, P, A> {
     batches: Vec<Vec<f64>>,
     program: P,
+    cache: Option<&'c SharedCache<u64, f64>>,
+    base: CacheStats,
     sink: CacheStatsSink,
     _result: std::marker::PhantomData<fn() -> A>,
 }
 
-impl<P, A> BatchEval<P, A>
+impl<P, A> BatchEval<'_, P, A>
 where
     P: Replay<f64, A>,
     A: Clone + 'static,
@@ -109,7 +106,11 @@ where
     /// winner reproduces exactly the scored pair.
     fn run_batch(&self, i: usize) -> (f64, f64, CacheStats) {
         let sink = Rc::new(RefCell::new(CacheStats::default()));
-        let h = tune_batch_handler(self.batches[i].clone(), Rc::clone(&sink));
+        let h = tune_batch_handler(
+            self.batches[i].clone(),
+            self.cache.map(Arc::clone),
+            Rc::clone(&sink),
+        );
         let (_, pair) = handle(&h, self.program.build())
             .run()
             .expect("tuned program reached the top level with an unhandled operation");
@@ -118,7 +119,7 @@ where
     }
 }
 
-impl<P, A> CandidateEval<f64> for BatchEval<P, A>
+impl<P, A> CandidateEval<f64> for BatchEval<'_, P, A>
 where
     P: Replay<f64, A>,
     A: Clone + 'static,
@@ -130,7 +131,10 @@ where
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.sink.total()
+        match self.cache {
+            Some(cache) => cache.stats().since(&self.base),
+            None => self.sink.total(),
+        }
     }
 }
 
@@ -142,6 +146,16 @@ where
 /// scans of the same probed errors, and batching preserves the global
 /// scan order.
 ///
+/// * **No cache.** Each batch memoises its own probes, so only a rate
+///   repeated *within* one batch is answered from memory;
+///   `stats.cache` sums those per-batch counters.
+/// * **A shared `cache`.** Rate-evaluation results are shared across the
+///   batched workers (and across repeated calls reusing the same
+///   handle), so a rate duplicated across batches — or across whole
+///   searches — runs the future once globally. Only the amount of
+///   evaluation work changes, never the winner; `stats.cache` reports
+///   this search's share of the shared handle's traffic.
+///
 /// # Panics
 ///
 /// Panics if `grid` is empty or `batch_size` is zero.
@@ -150,6 +164,7 @@ pub fn tune_lr_parallel<P, A, G>(
     grid: Vec<f64>,
     batch_size: usize,
     program: P,
+    cache: Option<&SharedCache<u64, f64>>,
 ) -> TuneOutcome
 where
     P: Replay<f64, A>,
@@ -163,112 +178,14 @@ where
     let eval = BatchEval {
         batches,
         program,
+        cache,
+        base: cache.map(|c| c.stats()).unwrap_or_default(),
         sink: CacheStatsSink::default(),
         _result: std::marker::PhantomData,
     };
     let out: Outcome<f64> = engine.search(n, &eval).expect("non-empty grid");
     let (alpha, err, _) = eval.run_batch(out.index);
     TuneOutcome { alpha, err, stats: out.stats }
-}
-
-/// The cached batch handler: like [`tune_batch_handler`], but probes go
-/// through a [`SharedCache`] keyed on the rate's bits, so a rate any
-/// worker (or any earlier batch, or any earlier *search*) already probed
-/// is answered without running the future. Sound for replays of one
-/// program factory: probing is pure, so the cached error is
-/// bit-identical to a recomputed one.
-fn tune_batch_handler_cached<A: Clone + 'static>(
-    batch: Vec<f64>,
-    cache: SharedCache<u64, f64>,
-) -> Handler<f64, A, (f64, f64)> {
-    let default = batch[0];
-    Handler::builder::<Lr>()
-        .on::<crate::hyper::Lrate>(move |(), l, _k| {
-            let memo = MemoChoice::with_cache(&l, |r: &f64| r.to_bits(), Arc::clone(&cache));
-            probe_grid_argmin(&memo, batch.clone())
-        })
-        .ret(move |_a| Sel::pure((default, f64::INFINITY)))
-        .build()
-}
-
-/// Evaluator for [`tune_lr_parallel_cached`]: one batch per candidate,
-/// every batch probing through one shared rate cache.
-struct CachedBatchEval<P, A> {
-    batches: Vec<Vec<f64>>,
-    program: P,
-    cache: SharedCache<u64, f64>,
-    base: CacheStats,
-    _result: std::marker::PhantomData<fn() -> A>,
-}
-
-impl<P, A> CachedBatchEval<P, A>
-where
-    P: Replay<f64, A>,
-    A: Clone + 'static,
-{
-    fn run_batch(&self, i: usize) -> (f64, f64) {
-        let h = tune_batch_handler_cached(self.batches[i].clone(), Arc::clone(&self.cache));
-        let (_, pair) = handle(&h, self.program.build())
-            .run()
-            .expect("tuned program reached the top level with an unhandled operation");
-        pair
-    }
-}
-
-impl<P, A> CandidateEval<f64> for CachedBatchEval<P, A>
-where
-    P: Replay<f64, A>,
-    A: Clone + 'static,
-{
-    fn eval(&self, i: usize, _bound: &SharedBound<f64>) -> Option<f64> {
-        let (_alpha, err) = self.run_batch(i);
-        Some(err)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats().since(&self.base)
-    }
-}
-
-/// [`tune_lr_parallel`] with a **shared** rate cache: rate-evaluation
-/// results are shared across the batched parallel workers (and across
-/// repeated calls reusing the same handle), so a rate duplicated across
-/// batches — or across whole searches — runs the future once globally.
-/// The winning rate stays bit-identical to the sequential
-/// `handle(tune_lr(grid), program)` scan; only the amount of evaluation
-/// work changes. `stats.cache` reports this search's share of the shared
-/// handle's traffic.
-///
-/// # Panics
-///
-/// Panics if `grid` is empty or `batch_size` is zero.
-pub fn tune_lr_parallel_cached<P, A, G>(
-    engine: &G,
-    grid: Vec<f64>,
-    batch_size: usize,
-    program: P,
-    cache: &SharedCache<u64, f64>,
-) -> TuneOutcome
-where
-    P: Replay<f64, A>,
-    A: Clone + 'static,
-    G: Engine,
-{
-    assert!(!grid.is_empty(), "tune_lr_parallel_cached needs at least one candidate rate");
-    assert!(batch_size >= 1, "batch_size must be positive");
-    let batches: Vec<Vec<f64>> = grid.chunks(batch_size).map(<[f64]>::to_vec).collect();
-    let n = batches.len();
-    let eval = CachedBatchEval {
-        batches,
-        program,
-        cache: Arc::clone(cache),
-        base: cache.stats(),
-        _result: std::marker::PhantomData,
-    };
-    let out: Outcome<f64> = engine.search(n, &eval).expect("non-empty grid");
-    let stats = out.stats;
-    let (alpha, err) = eval.run_batch(out.index);
-    TuneOutcome { alpha, err, stats }
 }
 
 /// Evaluator for [`tune_training_run_with`]: candidate `i` is
@@ -417,11 +334,12 @@ mod tests {
         let (_, seq_alpha) = handle(&tune_lr(grid.clone()), step_prog(0.0)).run_unwrap();
         for eng in engines() {
             for batch in [1, 2, 3, 6, 10] {
-                let out = tune_lr_parallel(&eng, grid.clone(), batch, || step_prog(0.0));
+                let out = tune_lr_parallel(&eng, grid.clone(), batch, || step_prog(0.0), None);
                 assert_eq!(out.alpha, seq_alpha, "batch {batch}");
             }
         }
-        let out = tune_lr_parallel(&SequentialEngine::exhaustive(), grid, 2, || step_prog(0.0));
+        let out =
+            tune_lr_parallel(&SequentialEngine::exhaustive(), grid, 2, || step_prog(0.0), None);
         assert_eq!(out.alpha, seq_alpha);
     }
 
@@ -435,6 +353,7 @@ mod tests {
             grid,
             2,
             || step_prog(0.0),
+            None,
         );
         assert_eq!(out.alpha, 0.5);
         assert_eq!(out.stats.cache.misses, 2, "one real probe per distinct rate per batch");
@@ -443,9 +362,13 @@ mod tests {
 
     #[test]
     fn programs_that_never_read_the_rate_fall_back_to_first_entry() {
-        let out = tune_lr_parallel(&ParallelEngine::with_threads(2), vec![0.25, 0.75], 1, || {
-            Sel::<f64, Vec<f64>>::pure(vec![])
-        });
+        let out = tune_lr_parallel(
+            &ParallelEngine::with_threads(2),
+            vec![0.25, 0.75],
+            1,
+            || Sel::<f64, Vec<f64>>::pure(vec![]),
+            None,
+        );
         assert_eq!(out.alpha, 0.25);
         assert!(out.err.is_infinite());
     }
@@ -476,7 +399,7 @@ mod tests {
         for (round, eng) in engines().into_iter().enumerate() {
             for batch in [1, 2, 3, 6] {
                 let out =
-                    tune_lr_parallel_cached(&eng, grid.clone(), batch, || step_prog(0.0), &cache);
+                    tune_lr_parallel(&eng, grid.clone(), batch, || step_prog(0.0), Some(&cache));
                 assert_eq!(out.alpha, seq_alpha, "round {round} batch {batch}");
                 if round > 0 {
                     assert_eq!(
@@ -498,7 +421,7 @@ mod tests {
         // Capacity 2 over 6 distinct rates: heavy eviction.
         let cache: SharedCache<u64, f64> = Arc::new(ShardedCache::clock_lru(2, 2));
         for eng in engines() {
-            let out = tune_lr_parallel_cached(&eng, grid.clone(), 2, || step_prog(0.0), &cache);
+            let out = tune_lr_parallel(&eng, grid.clone(), 2, || step_prog(0.0), Some(&cache));
             assert_eq!(out.alpha, seq_alpha);
         }
         assert!(cache.stats().evictions > 0, "cap 2 must evict: {:?}", cache.stats());
@@ -566,15 +489,5 @@ mod tests {
                 "a pre-cancelled tune must not report a winner"
             );
         }
-    }
-
-    #[test]
-    fn generic_grid_search_matches_plain_scan() {
-        let params: Vec<i64> = (0..50).collect();
-        let (p, l, stats) = grid_search(&ParallelEngine::with_threads(3), params.clone(), |p| {
-            ((p - 17) * (p - 17)) as f64
-        });
-        assert_eq!((p, l), (17, 0.0));
-        assert_eq!(stats.evaluated, 50);
     }
 }

@@ -24,7 +24,8 @@
 //! towards the earliest candidate, matching the paper's "we assume
 //! available some way to choose when there is more than one such
 //! element". The theory modules are dependency-free; [`par`] additionally
-//! bridges candidate *evaluation* to the `selc-engine` worker pool while
+//! bridges candidate *evaluation* to a caller-chosen `selc-engine` engine
+//! (`par_argmin`, `par_argmin_cached`, `par_product_root`) while
 //! preserving exactly that tie-breaking.
 //!
 //! # Example

@@ -1,18 +1,22 @@
-//! Parallel evaluation adapters: `argmin`/`argmax` and product root
-//! splits over the `selc-engine` worker pool.
+//! Parallel evaluation adapters: `argmin` and product root splits over
+//! a caller-chosen `selc-engine` engine.
 //!
 //! The theory core of this crate stays dependency-free; this module is
-//! the bridge from its sequential combinators to the engine. Every
-//! adapter is a drop-in for the sequential form and returns **the same
-//! candidate** (bit-identical, earliest-tie) — the differential tests
-//! below and in `selc-engine` hold them to that.
+//! the bridge from its sequential combinators to the engine. There are
+//! three entry points — [`par_argmin`], [`par_argmin_cached`] and
+//! [`par_product_root`] — each taking the engine explicitly (pass
+//! `SequentialEngine` for the sequential fallback, `ParallelEngine::auto()`
+//! for the `SELC_THREADS` pool). Every adapter is a drop-in for the
+//! sequential form and returns **the same candidate** (bit-identical,
+//! earliest-tie) — the differential tests below and in `selc-engine`
+//! hold them to that. An `argmax` is `par_argmin` over the negated loss.
 //!
 //! One caveat bounds that claim: the engine merges under the *total*
 //! order `f64::total_cmp`, the sequential scans under partial `<`. The
 //! two agree on every loss except `NaN` (which `<` never prefers and
 //! `total_cmp` ranks above `+∞`) and `-0.0` vs `+0.0` (equal under `<`,
-//! ordered under `total_cmp` — observable through `par_argmax_by`'s
-//! negation). Keep losses NaN-free and the guarantee is exact.
+//! ordered under `total_cmp` — observable when an argmax negates a zero
+//! loss). Keep losses NaN-free and the guarantee is exact.
 //!
 //! Selection functions themselves (`Rc` closures) cannot cross threads;
 //! what parallelises is *evaluation*: candidates and loss functions are
@@ -23,46 +27,18 @@
 use crate::product::{big_product_dep, Stage};
 use crate::sel::LossFn;
 use selc_cache::ShardedCache;
-use selc_engine::{minimize, CachedEval, Engine, FnEval, ParallelEngine};
+use selc_engine::{minimize, CachedEval, Engine, FnEval};
 use std::hash::Hash;
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// Parallel `argmin_by`: first candidate minimising `loss`, evaluated on
-/// the engine's worker pool (`SELC_THREADS` workers by default).
-/// Identical winner to [`crate::argmin_by`].
+/// `engine`. Identical winner to [`crate::argmin_by`].
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
-pub fn par_argmin_by<X, F>(candidates: Vec<X>, loss: F) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    F: Fn(&X) -> f64 + Send + Sync,
-{
-    par_argmin_with(&ParallelEngine::auto(), candidates, loss)
-}
-
-/// Parallel `argmax_by`, dual of [`par_argmin_by`].
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmax_by<X, F>(candidates: Vec<X>, loss: F) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    F: Fn(&X) -> f64 + Send + Sync,
-{
-    par_argmin_with(&ParallelEngine::auto(), candidates, move |x| -loss(x))
-}
-
-/// [`par_argmin_by`] with an explicit engine (e.g. the sequential
-/// fallback, for differential testing).
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmin_with<X, F, G>(engine: &G, candidates: Vec<X>, loss: F) -> X
+pub fn par_argmin<X, F, G>(engine: &G, candidates: Vec<X>, loss: F) -> X
 where
     X: Clone + Send + Sync + 'static,
     F: Fn(&X) -> f64 + Send + Sync,
@@ -74,18 +50,20 @@ where
     candidates.into_iter().nth(out.index).expect("index in range")
 }
 
-/// [`par_argmin_with`] through a shared memo cache: candidate `x`'s loss
-/// is cached under `key(x)` in `cache`, so workers — and repeated calls
+/// [`par_argmin`] through a shared memo cache: candidate `x`'s loss is
+/// cached under `key(x)` in `cache`, so workers — and repeated calls
 /// reusing the same handle — skip loss evaluation for candidates already
 /// scored. The winner is bit-identical to [`crate::argmin_by`] whatever
 /// the cache contents, capacity, or shard count, because a cached loss
 /// *is* the loss `loss` would recompute (the key function must be
-/// injective up to evaluation: one key, one loss value).
+/// injective up to evaluation: one key, one loss value). An argmax
+/// caller negating its loss stores negated losses, so do not share one
+/// handle between a min- and a max-search over the same keys.
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
-pub fn par_argmin_cached_with<X, K, KF, F, G>(
+pub fn par_argmin_cached<X, K, KF, F, G>(
     engine: &G,
     cache: &ShardedCache<K, f64>,
     candidates: Vec<X>,
@@ -106,34 +84,10 @@ where
     candidates.into_iter().nth(out.index).expect("index in range")
 }
 
-/// The `argmax` dual of [`par_argmin_cached_with`]. The cache stores the
-/// *negated* losses the engine minimises, so do not share one handle
-/// between a min- and a max-adapter over the same keys.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmax_cached_with<X, K, KF, F, G>(
-    engine: &G,
-    cache: &ShardedCache<K, f64>,
-    candidates: Vec<X>,
-    key: KF,
-    loss: F,
-) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    K: Eq + Hash + Send + 'static,
-    KF: Fn(&X) -> K + Send + Sync,
-    F: Fn(&X) -> f64 + Send + Sync,
-    G: Engine,
-{
-    par_argmin_cached_with(engine, cache, candidates, key, move |x| -loss(x))
-}
-
 /// Root-parallel Escardó–Oliva product: splits the *first* stage's
-/// candidates over the worker pool; each worker completes the play by
-/// running the remaining stages (rebuilt locally via `rest`) under the
-/// global loss, and the loss-minimising completed play wins.
+/// candidates over `engine`; each worker completes the play by running
+/// the remaining stages (rebuilt locally via `rest`) under the global
+/// loss, and the loss-minimising completed play wins.
 ///
 /// Equivalent to
 /// `big_product_dep([argmin(root), rest()...]).select(loss)` — the first
@@ -144,21 +98,7 @@ where
 /// # Panics
 ///
 /// Panics if `root` is empty.
-pub fn par_product_root<X, R, F>(root: Vec<X>, rest: R, loss: F) -> Vec<X>
-where
-    X: Clone + Send + Sync + 'static,
-    R: Fn() -> Vec<Stage<X, f64>> + Send + Sync,
-    F: Fn(&[X]) -> f64 + Send + Sync + 'static,
-{
-    par_product_root_with(&ParallelEngine::auto(), root, rest, loss)
-}
-
-/// [`par_product_root`] with an explicit engine.
-///
-/// # Panics
-///
-/// Panics if `root` is empty.
-pub fn par_product_root_with<X, R, F, G>(engine: &G, root: Vec<X>, rest: R, loss: F) -> Vec<X>
+pub fn par_product_root<X, R, F, G>(engine: &G, root: Vec<X>, rest: R, loss: F) -> Vec<X>
 where
     X: Clone + Send + Sync + 'static,
     R: Fn() -> Vec<Stage<X, f64>> + Send + Sync,
@@ -189,36 +129,39 @@ where
 mod tests {
     use super::*;
     use crate::{argmax_by, argmin, argmin_by};
-    use selc_engine::SequentialEngine;
+    use selc_engine::{ParallelEngine, SequentialEngine};
 
     #[test]
     fn par_argmin_matches_sequential_scan() {
         let xs: Vec<i64> = (0..100).map(|i| (i * 31) % 17).collect();
         let seq = argmin_by(xs.clone(), |x| (*x - 9) as f64 * (*x - 9) as f64);
-        let par = par_argmin_by(xs.clone(), |x| (*x - 9) as f64 * (*x - 9) as f64);
+        let par =
+            par_argmin(&ParallelEngine::auto(), xs.clone(), |x| (*x - 9) as f64 * (*x - 9) as f64);
         assert_eq!(par, seq);
-        let eng = par_argmin_with(&SequentialEngine::exhaustive(), xs, |x| {
-            (*x - 9) as f64 * (*x - 9) as f64
-        });
+        let eng =
+            par_argmin(&SequentialEngine::exhaustive(), xs, |x| (*x - 9) as f64 * (*x - 9) as f64);
         assert_eq!(eng, seq);
     }
 
     #[test]
     fn par_argmax_matches_sequential_scan() {
         let xs: Vec<i64> = (0..60).map(|i| (i * 13) % 23).collect();
-        assert_eq!(par_argmax_by(xs.clone(), |x| *x as f64), argmax_by(xs, |x| *x as f64));
+        assert_eq!(
+            par_argmin(&ParallelEngine::auto(), xs.clone(), |x| -(*x as f64)),
+            argmax_by(xs, |x| *x as f64)
+        );
     }
 
     #[test]
     fn tie_breaking_stays_earliest() {
         let xs = vec![5_i64, 1, 3, 1, 1];
-        assert_eq!(par_argmin_by(xs, |x| *x as f64), 1);
+        assert_eq!(par_argmin(&ParallelEngine::auto(), xs, |x| *x as f64), 1);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_candidates_panic_like_argmin_by() {
-        let _ = par_argmin_by(Vec::<i64>::new(), |_| 0.0);
+        let _ = par_argmin(&ParallelEngine::auto(), Vec::<i64>::new(), |_| 0.0);
     }
 
     #[test]
@@ -229,7 +172,7 @@ mod tests {
         let cache: ShardedCache<i64, f64> = ShardedCache::unbounded(4);
         let evals = AtomicU64::new(0);
         for round in 0..3 {
-            let got = par_argmin_cached_with(
+            let got = par_argmin_cached(
                 &ParallelEngine::with_threads(3),
                 &cache,
                 xs.clone(),
@@ -254,12 +197,12 @@ mod tests {
         let plain = argmax_by(xs.clone(), |x| *x as f64);
         let cache: ShardedCache<i64, f64> = ShardedCache::clock_lru(2, 4);
         for _ in 0..2 {
-            let got = par_argmax_cached_with(
+            let got = par_argmin_cached(
                 &ParallelEngine::with_threads(2),
                 &cache,
                 xs.clone(),
                 |x| *x,
-                |x| *x as f64,
+                |x| -(*x as f64),
             );
             assert_eq!(got, plain);
         }
@@ -283,7 +226,7 @@ mod tests {
             vec![Rc::new(|_: &[usize]| argmin(vec![0usize, 1, 2]))];
         stages.extend(mk_rest());
         let sequential = big_product_dep(stages).select(move |p: &Vec<usize>| loss(p));
-        let parallel = par_product_root((0..3).collect(), mk_rest, loss);
+        let parallel = par_product_root(&ParallelEngine::auto(), (0..3).collect(), mk_rest, loss);
         assert_eq!(parallel, sequential);
     }
 }

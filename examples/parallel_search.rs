@@ -9,12 +9,12 @@
 
 use selc_engine::{configured_threads, ParallelEngine, SequentialEngine};
 use selc_games::bimatrix::Matrix;
-use selc_games::parallel::{minimax_root_split_stats, queens_parallel};
+use selc_games::parallel::{minimax_root_split, queens_parallel};
 use selc_games::queens::is_solution;
 use selc_games::transposition::{solve_root_split, SymTree};
 use selc_ml::dataset::Dataset;
 use selc_ml::optimize::gd_handler_tuned;
-use selc_ml::parallel::{tune_lr_parallel, tune_lr_parallel_cached, tune_training_run};
+use selc_ml::parallel::{tune_lr_parallel, tune_training_run};
 
 fn main() {
     println!("worker pool: {} threads (SELC_THREADS to override)", configured_threads());
@@ -24,7 +24,7 @@ fn main() {
     //    bit-identical to the sequential hmax ∘ hmin nesting.
     let table = Matrix::random(8, 8, 42);
     let engine = ParallelEngine::auto();
-    let ((row, col), value, outcome) = minimax_root_split_stats(&table, &engine);
+    let ((row, col), value, outcome) = minimax_root_split(&table, &engine);
     let (srow, scol, svalue) = table.maximin();
     assert_eq!(((row, col), value), ((srow, scol), svalue));
     println!(
@@ -54,7 +54,7 @@ fn main() {
         });
         selc::handle(&gd_handler_tuned(), prog)
     };
-    let out = tune_lr_parallel(&engine, vec![1.0, 0.5, 1.0, 0.5, 0.25, 0.25], 2, program);
+    let out = tune_lr_parallel(&engine, vec![1.0, 0.5, 1.0, 0.5, 0.25, 0.25], 2, program, None);
     println!(
         "batched tuneLR: rate {} (err {:.3}) — cache: {} real probes, {} hits",
         out.alpha, out.err, out.stats.cache.misses, out.stats.cache.hits
@@ -66,8 +66,8 @@ fn main() {
     //     from the cache.
     let cache = selc::ShardedCache::shared_from_env();
     let grid = vec![1.0, 0.5, 1.0, 0.5, 0.25, 0.25];
-    let cold = tune_lr_parallel_cached(&engine, grid.clone(), 2, program, &cache);
-    let warm = tune_lr_parallel_cached(&engine, grid, 2, program, &cache);
+    let cold = tune_lr_parallel(&engine, grid.clone(), 2, program, Some(&cache));
+    let warm = tune_lr_parallel(&engine, grid, 2, program, Some(&cache));
     assert_eq!((cold.alpha, cold.err), (warm.alpha, warm.err));
     println!(
         "shared-cache tuneLR: rate {} — cold {} misses, warm {} misses / {} hits ({}% hit rate)",
@@ -94,7 +94,7 @@ fn main() {
     // 4. Parallel n-queens via the root-split product of selection
     //    functions.
     let n = 6;
-    let placement = queens_parallel(n);
+    let placement = queens_parallel(&engine, n);
     assert!(is_solution(&placement, n));
     println!("queens {n}: {placement:?}");
 

@@ -1,5 +1,5 @@
 //! Workspace smoke test: all examples under `examples/` compile, and the
-//! quickstart runs to completion.
+//! quickstart and parallel-search examples run to completion.
 //!
 //! Uses the same `cargo` that launched the test (`CARGO` env), sharing the
 //! target directory, so in CI this mostly re-validates cached artifacts.
@@ -48,4 +48,23 @@ fn quickstart_runs_to_completion() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("quickstart OK"), "unexpected quickstart output:\n{stdout}");
+}
+
+/// The parallel-search example runs to completion and prints its final
+/// marker. Its own asserts check root-split minimax against `maximin`,
+/// the tuned training run against the sequential engine, the cold
+/// shared-cache `tuneLR` against the warm one, and transposition minimax
+/// against backward induction — so this runs every parallel entry point
+/// of `selc-games` and `selc-ml` end to end.
+#[test]
+fn parallel_search_runs_to_completion() {
+    let out =
+        cargo().args(["run", "-q", "--example", "parallel_search"]).output().expect("cargo runs");
+    assert!(
+        out.status.success(),
+        "parallel_search exited nonzero:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("parallel search OK"), "unexpected parallel_search output:\n{stdout}");
 }

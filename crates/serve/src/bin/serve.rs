@@ -3,8 +3,10 @@
 //!
 //! With no arguments the process serves until killed. Configuration is
 //! entirely environmental (the workspace's knob style):
-//! `SELC_SERVE_PORT`, `SELC_SERVE_WORKERS`, `SELC_SERVE_MAX_SESSIONS`
-//! shape the server; `SELC_THREADS` and `SELC_CACHE_{SHARDS,CAP}`
+//! `SELC_SERVE_PORT` is the listen port, `SELC_SERVE_WORKERS` the
+//! number of searches that run at once (compute slots; idle sessions
+//! hold none), and `SELC_SERVE_MAX_SESSIONS` the number of open
+//! connections admitted; `SELC_THREADS` and `SELC_CACHE_{SHARDS,CAP}`
 //! shape each search and tenant cache, as everywhere else; and
 //! `SELC_METRICS` defaults **on** for the daemon so it is born
 //! scrapeable.
@@ -41,7 +43,7 @@ fn run_server() {
         }
     };
     println!(
-        "selc-serve listening on {} ({} workers, {} max sessions)",
+        "selc-serve listening on {} ({} searches at once, {} max sessions)",
         server.addr(),
         config.workers,
         config.max_sessions

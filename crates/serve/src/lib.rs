@@ -22,12 +22,13 @@
 //! * [`workload`] — validation (resource caps before allocation) and
 //!   execution through the same cancellable entry points library
 //!   callers use, so served winners are bit-identical to direct ones.
-//! * [`server`] — accept loop, `Busy` admission control, a fixed
-//!   session-worker pool, and one disconnect watcher per server that
-//!   peeks the sockets of running searches and fires a search's
-//!   `CancelToken` when its caller vanishes. The server is also where
-//!   metrics recording defaults on, so a fresh daemon is scrapeable
-//!   without any environment setup.
+//! * [`server`] — accept loop, `Busy` admission control, one thread
+//!   per session that runs its own searches in one of `workers` compute
+//!   slots (an idle session holds none), and one disconnect watcher per
+//!   server that peeks the sockets of running searches and fires a
+//!   search's `CancelToken` when its caller vanishes. The server is also
+//!   where metrics recording defaults on, so a fresh daemon is
+//!   scrapeable without any environment setup.
 //! * [`client`] — the blocking loopback client the tests and the
 //!   `e17_serve` throughput bench drive.
 //!

@@ -446,7 +446,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 /// Fails with `InvalidInput` if `payload` exceeds [`MAX_FRAME`] —
 /// server- and client-built payloads are all far smaller, so an
 /// oversized one is a logic error, but the server's no-panic policy
-/// reports it as an error instead of killing the worker.
+/// reports it as an error instead of killing the session.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).ok().filter(|_| payload.len() <= MAX_FRAME).ok_or_else(
         || {

@@ -1,54 +1,40 @@
-//! The server: accept loop, admission control, session workers.
+//! The server: accept loop, admission control, one thread per session,
+//! compute slots for searches.
 //!
-//! Anatomy of a running server:
+//! * **Accept loop** (one thread) — past [`ServeConfig::max_sessions`]
+//!   live sessions, or when the OS will not start a session thread, a
+//!   connection is answered `Busy` and closed: fast refusals, no queue.
+//! * **Sessions** (scoped threads of the accept loop) — a session reads
+//!   its client's frames and runs its searches itself, holding one of
+//!   [`ServeConfig::workers`] *compute slots* only while a search runs,
+//!   so an idle connection costs a parked thread and stalls nobody.
+//! * **Disconnect watcher** (one thread) — each poll interval it peeks
+//!   the socket of every search in flight and fires the search's
+//!   `CancelToken` when its client has gone.
 //!
-//! * **Accept loop** (one thread) — accepts connections and applies
-//!   *admission control*: while [`ServeConfig::max_sessions`] sessions
-//!   are live, a new connection is answered `Busy` and closed without
-//!   ever reaching a worker, so overload degrades to fast refusals
-//!   instead of unbounded queueing.
-//! * **Session queue** — admitted connections wait in a `VecDeque`
-//!   under a condvar.
-//! * **Worker pool** ([`ServeConfig::workers`] threads) — each worker
-//!   owns one session at a time and serves its requests sequentially;
-//!   a session holds its worker until the client hangs up, so
-//!   `workers` bounds *concurrent searches* and `max_sessions` bounds
-//!   *open connections*.
+//! One registry under one lock holds every live session (its socket,
+//! and its search's token while one runs) and the slot count: taking a
+//! slot is registering with the watcher. A warm request makes no spawn
+//! and no hand-off. A deadline, a disconnect and shutdown all fire the
+//! search's one token, which is always safe: a cancelled walk installs
+//! no cache summaries (see `DESIGN.md`).
 //!
-//! * **Disconnect watcher** (one thread) — every search registers its
-//!   session's socket and `CancelToken` in a shared map while it runs;
-//!   each poll interval the watcher peeks every registered socket and
-//!   fires the token of any whose client has gone, so no worker grinds
-//!   through a search for nobody. Shutdown joins it.
-//!
-//! Deadlines and disconnects both flow through one `CancelToken` per
-//! search: the token's deadline is the request's `deadline_ms`, and the
-//! watcher fires the same token when the client vanishes. Cancellation
-//! is safe to trigger at any moment: the engines guarantee a cancelled
-//! walk installs no cache summaries (see `DESIGN.md`), so a timed-out
-//! request leaves its tenant's warmth exactly as it found it. A warm
-//! request touches no thread but its own session worker: registering
-//! with the watcher is a map insert and remove, not a spawn.
-//!
-//! The server is also where the workspace's metrics default flips
-//! **on**: a daemon you cannot scrape is blind, so `Server::spawn`
-//! enables recording unless `SELC_METRICS=0` explicitly asks for the
-//! zero-overhead path (overhead benches do). Live state travels as
-//! gauges (`serve.queue_depth`, `serve.active_watchers`), refusals and
-//! aborts as counters, and per-op end-to-end latency as log2
-//! histograms, all scrapeable via a `Metrics` request.
+//! Metrics default **on** here (`SELC_METRICS=0` still wins). Gauges:
+//! `serve.queue_depth` counts searches waiting for a slot,
+//! `serve.active_watchers` searches in flight; counters carry refusals
+//! and aborts, log2 histograms per-op latency, all scraped by `Metrics`.
 
 use crate::protocol::{read_frame, write_frame, Request, Response, WireMetrics, Workload};
 use crate::tenants::Tenants;
 use crate::workload::{self, Ran};
 use selc::env::{env_usize, SERVE_MAX_SESSIONS_ENV, SERVE_PORT_ENV, SERVE_WORKERS_ENV};
+use selc_check::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use selc_engine::{configured_threads, CancelToken};
 use selc_obs::{metrics, Counter, Gauge, Histogram};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, LazyLock, Mutex};
+use std::sync::{Arc, LazyLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -98,9 +84,9 @@ pub struct ServeConfig {
     /// port (tests and benches do this and read it back from
     /// [`ServerHandle::addr`]).
     pub port: u16,
-    /// Session-worker threads — the number of *concurrent sessions
-    /// being served*; each search inside a session parallelises
-    /// further via `SELC_THREADS`.
+    /// Compute slots — the number of *concurrent searches*; a search
+    /// beyond it waits for a slot, and each search parallelises
+    /// further via `SELC_THREADS`. Idle sessions hold no slot.
     pub workers: usize,
     /// Admission limit: connections beyond this many live sessions are
     /// refused with `Busy`.
@@ -130,66 +116,150 @@ impl ServeConfig {
     }
 }
 
-/// State shared by the accept loop, the workers, and the handle.
+/// State shared by the server's threads and its handle.
 struct Shared {
     tenants: Tenants,
-    queue: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    /// Sessions admitted and not yet finished (counted from the accept
-    /// loop's enqueue to the worker's hang-up).
-    active: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Clones of live session sockets, so shutdown can force-close
-    /// them and unblock workers parked in `read_frame`.
-    open: Mutex<HashMap<u64, Arc<TcpStream>>>,
-    next_session: AtomicU64,
-    /// Searches in flight, by session id: the session's socket clone
-    /// and the search's token, for the disconnect watcher to peek and
-    /// fire. A session removes its entry (by dropping its [`Watch`])
-    /// before it touches the socket again; see [`watch_loop`].
-    watched: Mutex<HashMap<u64, (Arc<TcpStream>, CancelToken)>>,
+    registry: Registry,
 }
 
-impl Shared {
-    fn shutting_down(&self) -> bool {
-        // ordering: Acquire — pairs with the AcqRel swap in `shutdown`:
-        // a thread that observes the flag also observes everything the
-        // shutting-down thread published before raising it.
-        self.shutdown.load(Ordering::Acquire)
+/// Every live session and the compute slots their searches take, under
+/// one lock. `S` is a session's socket (the model tests use `()`).
+struct Registry<S = Arc<TcpStream>> {
+    state: Mutex<Sessions<S>>,
+    /// Signalled when a slot frees while a search waits, and on close.
+    slot_free: Condvar,
+    slots: usize,
+    max_sessions: usize,
+}
+
+/// Live sessions by id, each with its socket and, while it runs, its
+/// search's token (what the watcher peeks and fires); the slots in use
+/// (the searches in flight) and the searches waiting for one.
+struct Sessions<S> {
+    live: HashMap<u64, (S, Option<CancelToken>)>,
+    next_id: u64,
+    running: usize,
+    waiting: usize,
+    closed: bool,
+}
+
+impl<S> Registry<S> {
+    fn new(slots: usize, max_sessions: usize) -> Registry<S> {
+        let s =
+            Sessions { live: HashMap::new(), next_id: 0, running: 0, waiting: 0, closed: false };
+        Registry { state: Mutex::new(s), slot_free: Condvar::new(), slots, max_sessions }
     }
 
-    /// Registers session `id`'s running search with the disconnect
-    /// watcher until the returned guard drops.
-    fn watch(&self, id: u64, peer: &Arc<TcpStream>, cancel: &CancelToken) -> Watch<'_> {
-        lock_clean(&self.watched).insert(id, (Arc::clone(peer), cancel.clone()));
-        SERVE_METRICS.active_watchers.inc();
-        Watch { shared: self, id }
+    fn lock(&self) -> MutexGuard<'_, Sessions<S>> {
+        lock_clean(&self.state)
+    }
+
+    /// Registers a session under `socket` until the returned guard
+    /// drops; `None` at the admission limit or once closed.
+    fn admit(&self, socket: S) -> Option<Session<'_, S>> {
+        let mut state = self.lock();
+        if state.closed || state.live.len() >= self.max_sessions {
+            return None;
+        }
+        let id = state.next_id;
+        state.next_id += 1;
+        state.live.insert(id, (socket, None));
+        Some(Session { registry: self, id })
+    }
+
+    /// Refuses every later session and slot, cancels each search in
+    /// flight, hangs up every session with `hang_up`, and wakes every
+    /// search waiting for a slot. Returns false if already closed.
+    fn close(&self, hang_up: impl Fn(&S)) -> bool {
+        let mut state = self.lock();
+        if std::mem::replace(&mut state.closed, true) {
+            return false;
+        }
+        for (socket, search) in state.live.values() {
+            search.iter().for_each(CancelToken::cancel);
+            hang_up(socket);
+        }
+        self.slot_free.notify_all();
+        true
+    }
+
+    /// One watcher pass: fires the token of each search in flight whose
+    /// client is `gone`. Returns false once closed.
+    fn scan(&self, gone: impl Fn(&S) -> bool) -> bool {
+        let state = self.lock();
+        for (socket, search) in state.live.values() {
+            // An already-cancelled token (a deadline, or a disconnect
+            // seen last pass) has nothing left to fire or count.
+            if let Some(cancel) = search.as_ref().filter(|c| !c.is_cancelled() && gone(socket)) {
+                SERVE_METRICS.disconnect_cancels.inc();
+                cancel.cancel();
+            }
+        }
+        !state.closed
     }
 }
 
-/// A search's registration with the disconnect watcher. Dropping it
-/// removes the entry under the watcher's lock, so once it is gone no
-/// peek is in flight and the socket is back in blocking mode; being a
-/// guard, it also goes when the search panics.
-struct Watch<'a> {
-    shared: &'a Shared,
+/// A live session's registration; dropping it, by return or by
+/// unwinding, removes the entry.
+struct Session<'r, S = Arc<TcpStream>> {
+    registry: &'r Registry<S>,
     id: u64,
 }
 
-impl Drop for Watch<'_> {
-    fn drop(&mut self) {
-        lock_clean(&self.shared.watched).remove(&self.id);
-        SERVE_METRICS.active_watchers.dec();
+impl<S> Session<'_, S> {
+    /// Runs `search` in a compute slot, registered with the watcher
+    /// under `cancel`, first waiting while every slot is taken. Returns
+    /// `None`, without running it, once the registry is closed.
+    fn run<T>(&self, cancel: &CancelToken, search: impl FnOnce() -> T) -> Option<T> {
+        let registry = self.registry;
+        let mut state = registry.lock();
+        while state.running >= registry.slots && !state.closed {
+            state.waiting += 1;
+            SERVE_METRICS.queue_depth.inc();
+            state = registry.slot_free.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+            SERVE_METRICS.queue_depth.dec();
+        }
+        if state.closed {
+            return None;
+        }
+        state.running += 1;
+        state.live.entry(self.id).and_modify(|entry| entry.1 = Some(cancel.clone()));
+        drop(state);
+        SERVE_METRICS.active_watchers.inc();
+        let _slot = Slot(self);
+        Some(search())
     }
 }
 
-/// Locks `m`, continuing through poison: a panicking worker must not
-/// cascade into every sibling that touches the same queue or map. The
-/// guarded structures stay structurally valid mid-panic (pushes and
-/// removes are not interruptible by Rust panics at observable points),
-/// and a daemon's job is to keep serving.
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+impl<S> Drop for Session<'_, S> {
+    fn drop(&mut self) {
+        self.registry.lock().live.remove(&self.id);
+    }
+}
+
+/// A held compute slot. Dropping it, by return or by unwinding, frees
+/// it and deregisters the search under the watcher's lock.
+struct Slot<'s, 'r, S>(&'s Session<'r, S>);
+
+impl<S> Drop for Slot<'_, '_, S> {
+    fn drop(&mut self) {
+        let Session { registry, id } = self.0;
+        let mut state = registry.lock();
+        state.running -= 1;
+        state.live.entry(*id).and_modify(|entry| entry.1 = None);
+        SERVE_METRICS.active_watchers.dec();
+        if state.waiting > 0 {
+            registry.slot_free.notify_one();
+        }
+    }
+}
+
+/// Locks `m`, continuing through poison: a panicking session must not
+/// cascade into its siblings. The guarded maps stay structurally valid
+/// mid-panic, and a daemon's job is to keep serving.
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running server; dropping the handle shuts it down.
@@ -197,7 +267,6 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
     watcher: Option<thread::JoinHandle<()>>,
 }
 
@@ -206,50 +275,33 @@ pub struct Server {
 pub type ServerHandle = Server;
 
 impl Server {
-    /// Binds `127.0.0.1:{config.port}` and spawns the accept loop, the
-    /// worker pool and the disconnect watcher.
+    /// Binds `127.0.0.1:{config.port}` and spawns the disconnect
+    /// watcher and the accept loop.
     ///
     /// # Errors
     ///
-    /// Fails if the port cannot be bound.
+    /// Fails if the port cannot be bound or the OS refuses a thread.
     ///
     /// # Panics
     ///
     /// Panics if `config.workers` or `config.max_sessions` is zero.
     pub fn spawn(config: ServeConfig) -> io::Result<Server> {
-        assert!(config.workers >= 1, "a server needs at least one worker");
+        assert!(config.workers >= 1, "a server needs at least one compute slot");
         assert!(config.max_sessions >= 1, "a server must admit at least one session");
         // A service you cannot scrape is blind: the daemon defaults
         // metrics ON, and `SELC_METRICS=0` still wins (overhead runs).
         selc_obs::set_metrics_enabled(metrics::configured_metrics().unwrap_or(true));
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            tenants: Tenants::default(),
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            active: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            open: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(0),
-            watched: Mutex::new(HashMap::new()),
-        });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let max = config.max_sessions;
-            thread::spawn(move || accept_loop(&listener, &shared, max))
-        };
-        let workers = (0..config.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        let watcher = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || watch_loop(&shared))
-        };
-        Ok(Server { addr, shared, accept: Some(accept), workers, watcher: Some(watcher) })
+        let registry = Registry::new(config.workers, config.max_sessions);
+        let shared = Arc::new(Shared { tenants: Tenants::default(), registry });
+        // If a spawn fails, dropping `server` joins what did start.
+        let mut server = Server { addr, shared: Arc::clone(&shared), accept: None, watcher: None };
+        let watched = Arc::clone(&shared);
+        server.watcher = Some(thread::Builder::new().spawn(move || watch_loop(&watched))?);
+        server.accept =
+            Some(thread::Builder::new().spawn(move || accept_loop(&listener, &shared))?);
+        Ok(server)
     }
 
     /// The bound address (read this when spawning on port 0).
@@ -261,47 +313,33 @@ impl Server {
     /// Sessions admitted and not yet hung up.
     #[must_use]
     pub fn active_sessions(&self) -> usize {
-        // ordering: Relaxed — the count is exact through RMW atomicity
-        // alone; it carries no data, so the old Acquire bought nothing.
-        self.shared.active.load(Ordering::Relaxed)
+        self.shared.registry.lock().live.len()
     }
 
-    /// Searches currently registered with the disconnect watcher — the
-    /// in-flight searches. Returns to zero once requests settle: a
-    /// session deregisters its search before writing the response.
+    /// Searches in flight, each in a compute slot and watched; zero once
+    /// requests settle (a search frees its slot before it answers).
     #[must_use]
     pub fn active_watchers(&self) -> usize {
-        lock_clean(&self.shared.watched).len()
+        self.shared.registry.lock().running
     }
 
-    /// Stops accepting, force-closes live sessions, and joins every
-    /// thread. Idempotent; also runs on drop.
+    /// Stops accepting, cancels searches in flight, force-closes live
+    /// sessions, and joins every thread. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        // ordering: AcqRel — Release publishes everything this thread
-        // did before shutting down to threads that observe the flag
-        // (see `shutting_down`); Acquire makes the losing caller of an
-        // idempotent double-shutdown see the winner's prior work.
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
+        // Sessions parked in `read_frame` or waiting for a slot wake.
+        if !self.shared.registry.close(|socket| {
+            let _ = socket.shutdown(Shutdown::Both);
+        }) {
             return;
         }
-        // Unblock the accept loop with a throwaway connection; it
-        // checks the flag before handling anything it accepts.
+        // A throwaway connection unblocks the accept loop.
         let _ = TcpStream::connect(self.addr);
-        // Force-close live sessions so workers parked in read_frame
-        // wake with an error instead of waiting for their client.
-        for (_, stream) in lock_clean(&self.shared.open).drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        self.shared.available.notify_all();
+        // Joins every session too: they are its scoped threads.
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Workers gone ⇒ nothing is watched any more. The watcher saw
-        // the flag or sees it once unparked, so afterwards no thread of
-        // ours survives the handle.
+        // The watcher saw the close or sees it once unparked, so
+        // afterwards no thread of ours survives the handle.
         if let Some(watcher) = self.watcher.take() {
             watcher.thread().unpark();
             let _ = watcher.join();
@@ -315,71 +353,35 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared, max_sessions: usize) {
-    for stream in listener.incoming() {
-        if shared.shutting_down() {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        let _ = stream.set_nodelay(true); // tiny frames must not wait out Nagle
-                                          // ordering: Relaxed — admission control needs only an exact
-                                          // count (RMW atomicity gives it); the load/add pair publishes
-                                          // nothing, so the old Acquire/AcqRel were needless strength.
-        if shared.active.load(Ordering::Relaxed) >= max_sessions {
-            SERVE_METRICS.admission_rejects.inc();
-            let _ = write_frame(&mut stream, &Response::Busy.encode());
-            continue; // drop: refused, never counted
-        }
-        shared.active.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — see the admission comment
-        lock_clean(&shared.queue).push_back(stream);
-        SERVE_METRICS.queue_depth.inc();
-        shared.available.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = lock_clean(&shared.queue);
-            loop {
-                if shared.shutting_down() {
-                    return;
-                }
-                if let Some(stream) = queue.pop_front() {
-                    SERVE_METRICS.queue_depth.dec();
-                    break stream;
-                }
-                queue =
-                    shared.available.wait(queue).unwrap_or_else(std::sync::PoisonError::into_inner);
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    thread::scope(|scope| {
+        for stream in listener.incoming() {
+            if shared.registry.lock().closed {
+                break;
             }
-        };
-        // ordering: Relaxed — session ids only need uniqueness, which
-        // the RMW guarantees under any ordering.
-        let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        // The session's one clone serves both shutdown's force-close and
-        // the disconnect watcher's peeks.
-        let peer = stream.try_clone().ok().map(Arc::new);
-        if let Some(peer) = &peer {
-            lock_clean(&shared.open).insert(id, Arc::clone(peer));
+            let Ok(stream) = stream else { continue };
+            let _ = stream.set_nodelay(true); // tiny frames must not wait out Nagle
+            let socket = Arc::new(stream);
+            let spawned = shared.registry.admit(Arc::clone(&socket)).map(|session| {
+                let socket = Arc::clone(&socket);
+                thread::Builder::new()
+                    .spawn_scoped(scope, move || serve_session(&socket, &session, shared))
+            });
+            // Over the limit, or the OS refused the session thread (its
+            // registration dropped with the closure): answer Busy, drop.
+            if !matches!(spawned, Some(Ok(_))) {
+                SERVE_METRICS.admission_rejects.inc();
+                let _ = write_frame(&mut &*socket, &Response::Busy.encode());
+            }
         }
-        // A shutdown that raced our registration has already drained
-        // the open map; re-checking the flag after inserting closes
-        // the gap either way, so no worker blocks past shutdown.
-        if shared.shutting_down() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        serve_session(stream, peer.as_ref(), id, shared);
-        lock_clean(&shared.open).remove(&id);
-        // ordering: Relaxed — see the admission-control comment.
-        shared.active.fetch_sub(1, Ordering::Relaxed);
-    }
+    });
 }
 
-/// Serves one session until the client hangs up or the transport
-/// fails. Malformed *payloads* are survivable (the frame was consumed;
-/// answer and continue); malformed *frames* are not (the stream can no
-/// longer be resynchronised), so those answer and close.
-fn serve_session(mut stream: TcpStream, peer: Option<&Arc<TcpStream>>, id: u64, shared: &Shared) {
+/// Serves one session until the client hangs up, the transport fails,
+/// or the server shuts down. A malformed *payload* is answered and the
+/// session goes on; a malformed *frame* cannot be resynchronised, so it
+/// is answered and the session closed.
+fn serve_session(mut stream: &TcpStream, session: &Session<'_>, shared: &Shared) {
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(Some(payload)) => payload,
@@ -417,11 +419,12 @@ fn serve_session(mut stream: TcpStream, peer: Option<&Arc<TcpStream>>, id: u64, 
                         } else {
                             CancelToken::never()
                         };
-                        let ran = {
-                            // Deregistered as the block ends, before the
-                            // response is written.
-                            let _watch = peer.map(|peer| shared.watch(id, peer, &cancel));
+                        // The slot is freed, and the search deregistered,
+                        // before the response is written.
+                        let Some(ran) = session.run(&cancel, || {
                             workload::run(&tenant, &workload, &cancel, deadline_ms > 0)
+                        }) else {
+                            return; // shutting down: the socket is closed
                         };
                         match ran {
                             Ran::Done { index, loss, stats } => Response::Ok { index, loss, stats },
@@ -451,32 +454,20 @@ fn serve_session(mut stream: TcpStream, peer: Option<&Arc<TcpStream>>, id: u64, 
 }
 
 /// The disconnect watcher: every [`WATCH_INTERVAL`] it peeks the
-/// socket of each running search, and fires the search's token when the
-/// client has hung up (EOF) or the transport has died — the queue-drain
-/// fix made end-to-end. Bytes waiting (a pipelined request) or nothing
-/// to read both mean the client is alive.
+/// socket of each search in flight, and fires the search's token when
+/// the client has hung up (EOF) or the transport has died. Bytes
+/// waiting (a pipelined request) or nothing to read both mean the
+/// client is alive.
 ///
-/// The peek must not block, so the socket is switched to non-blocking
-/// mode around it. `O_NONBLOCK` lives on the open file description,
-/// which the watched clone shares with the session's own stream: the
-/// session would see it too. That is safe only because the whole scan
-/// holds the `watched` lock and restores blocking mode before the next
-/// entry, while a session removes its entry under the same lock before
-/// it reads or writes the socket again — so the session never touches
-/// the socket inside the non-blocking window.
+/// The peek must not block, so the socket is non-blocking around it.
+/// The session's own reads and writes share that `O_NONBLOCK`, which is
+/// safe only because the scan holds the registry lock and restores
+/// blocking mode before the next entry, while a session frees its slot
+/// under the same lock before it touches the socket again.
 fn watch_loop(shared: &Shared) {
-    while !shared.shutting_down() {
-        // Shutdown unparks the thread, so it never sleeps out an interval.
+    // Shutdown unparks the thread, so it never sleeps out an interval.
+    while shared.registry.scan(|socket| client_gone(socket)) {
         thread::park_timeout(WATCH_INTERVAL);
-        let watched = lock_clean(&shared.watched);
-        for (socket, cancel) in watched.values() {
-            // Already cancelled (a deadline, or a disconnect seen on an
-            // earlier pass): nothing left to fire, or to count twice.
-            if !cancel.is_cancelled() && client_gone(socket) {
-                SERVE_METRICS.disconnect_cancels.inc();
-                cancel.cancel();
-            }
-        }
     }
 }
 
@@ -494,4 +485,106 @@ fn client_gone(socket: &TcpStream) -> bool {
     };
     let _ = socket.set_nonblocking(false);
     gone
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn a_search_that_panics_gives_its_slot_back() {
+        let registry = Registry::<()>::new(1, 1);
+        let session = registry.admit(()).expect("room for one session");
+        let cancel = CancelToken::new();
+        let unwound =
+            catch_unwind(AssertUnwindSafe(|| session.run(&cancel, || panic!("search panicked"))));
+        assert!(unwound.is_err(), "the panic reaches the caller");
+        {
+            let state = registry.lock();
+            assert_eq!(state.running, 0, "the unwound search freed its slot");
+            assert!(state.live[&session.id].1.is_none(), "and left the watcher's view");
+        }
+        assert_eq!(session.run(&cancel, || 7), Some(7), "the one slot is usable again");
+        drop(session);
+        assert!(registry.lock().live.is_empty(), "a dropped session deregisters");
+    }
+
+    #[test]
+    fn admission_stops_at_the_limit_and_on_close() {
+        let registry = Registry::<()>::new(1, 2);
+        let a = registry.admit(()).expect("first session");
+        let _b = registry.admit(()).expect("second session");
+        assert!(registry.admit(()).is_none(), "over the admission limit");
+        drop(a);
+        let c = registry.admit(()).expect("a freed place admits again");
+        assert!(registry.close(|()| {}), "first close closes");
+        assert!(!registry.close(|()| {}), "second close is a no-op");
+        assert!(registry.admit(()).is_none(), "closed registries admit nobody");
+        assert_eq!(c.run(&CancelToken::new(), || ()), None, "nor run searches");
+    }
+}
+
+/// Exhaustive small-schedule verification of the compute-slot protocol
+/// under the `selc_check` model checker
+/// (`RUSTFLAGS="--cfg selc_model" cargo test -p selc-serve --lib`).
+#[cfg(all(test, selc_model))]
+mod model_tests {
+    use super::*;
+    use selc_check::model::{check, spawn, JoinHandle, Options};
+    use selc_check::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Three sessions each run one search through `slots` compute
+    /// slots, while the root thread closes the registry or not. On every
+    /// schedule: no more than `slots` searches run at once, every thread
+    /// finishes (the checker reports a lost wake-up as a deadlock), and
+    /// the registry is empty once they are joined.
+    fn slots_model(name: &str, slots: usize, close: bool) {
+        check(name, Options::default(), move || {
+            let registry = Arc::new(Registry::<()>::new(slots, 3));
+            let in_use = Arc::new(AtomicUsize::new(0));
+            let sessions: Vec<JoinHandle<bool>> = (0..3)
+                .map(|_| {
+                    let (registry, in_use) = (Arc::clone(&registry), Arc::clone(&in_use));
+                    spawn(move || {
+                        let Some(session) = registry.admit(()) else { return false };
+                        let ran = session.run(&CancelToken::new(), || {
+                            let now = in_use.fetch_add(1, Ordering::SeqCst) + 1;
+                            assert!(now <= slots, "{now} searches in {slots} slots");
+                            in_use.fetch_sub(1, Ordering::SeqCst);
+                        });
+                        ran.is_some()
+                    })
+                })
+                .collect();
+            if close {
+                registry.close(|()| {});
+            }
+            let ran = sessions.into_iter().map(JoinHandle::join).filter(|&ran| ran).count();
+            assert!(close || ran == 3, "without a close every search runs");
+            let state = registry.lock();
+            assert_eq!((state.running, state.waiting), (0, 0), "every slot came back");
+            assert!(state.live.is_empty(), "every session deregistered");
+        });
+    }
+
+    #[test]
+    fn model_one_slot_serialises_three_searches() {
+        slots_model("serve-slots-1", 1, false);
+    }
+
+    #[test]
+    fn model_two_slots_admit_two_of_three_searches() {
+        slots_model("serve-slots-2", 2, false);
+    }
+
+    #[test]
+    fn model_close_wakes_every_waiter_with_one_slot() {
+        slots_model("serve-slots-1-close", 1, true);
+    }
+
+    #[test]
+    fn model_close_wakes_every_waiter_with_two_slots() {
+        slots_model("serve-slots-2-close", 2, true);
+    }
 }

@@ -24,9 +24,10 @@
 use crate::server::lock_clean;
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::{LcCandidates, LcTransCache};
+use selc_check::sync::Mutex;
 use selc_games::alternating::{AbCache, GameTree};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One tenant's warm state.
 pub struct Tenant {

@@ -349,10 +349,10 @@ fn disconnect_watchers_are_reaped_not_leaked() {
         expect_ok(client.search(9, Workload::Chain { choices: 6 }, 0).expect("search"));
     }
     drop(client);
-    // Each request spawned one watcher; each was signalled done when
-    // its request finished and must exit within a poll interval —
-    // `active_watchers` joins the finished ones, so reaching zero
-    // proves no thread leaked.
+    // Each search registered with the server's one disconnect watcher
+    // while it held a compute slot, and deregistered before its answer
+    // was written; `active_watchers` counts the searches still
+    // registered, so reaching zero proves no registration leaked.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.active_watchers() > 0 {
         assert!(Instant::now() < deadline, "watcher threads leaked");

@@ -81,6 +81,9 @@ pub struct SummaryStats {
     pub exact_installs: u64,
     /// Bound entries installed for pruned subtrees.
     pub bound_installs: u64,
+    /// Interior nodes answered from an equal decision state's exact
+    /// subtree in the same work item (tree searches with state keys).
+    pub state_merges: u64,
 }
 
 impl SummaryStats {
@@ -93,6 +96,7 @@ impl SummaryStats {
             misses: self.misses + other.misses,
             exact_installs: self.exact_installs + other.exact_installs,
             bound_installs: self.bound_installs + other.bound_installs,
+            state_merges: self.state_merges + other.state_merges,
         }
     }
 
@@ -128,6 +132,7 @@ mod tests {
             misses: 3,
             exact_installs: 4,
             bound_installs: 5,
+            state_merges: 6,
         };
         let b = SummaryStats {
             exact_hits: 10,
@@ -135,6 +140,7 @@ mod tests {
             misses: 30,
             exact_installs: 40,
             bound_installs: 50,
+            state_merges: 60,
         };
         let m = a.merged(&b);
         assert_eq!(
@@ -145,6 +151,7 @@ mod tests {
                 misses: 33,
                 exact_installs: 44,
                 bound_installs: 55,
+                state_merges: 66,
             }
         );
         assert_eq!(a.merged(&SummaryStats::default()), a);

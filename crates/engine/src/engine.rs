@@ -41,6 +41,7 @@ struct EngineMetrics {
     cancelled: selc_obs::Counter,
     summary_exact_installs: selc_obs::Counter,
     summary_bound_installs: selc_obs::Counter,
+    state_merges: selc_obs::Counter,
 }
 
 static ENGINE_METRICS: LazyLock<EngineMetrics> = LazyLock::new(|| EngineMetrics {
@@ -50,6 +51,7 @@ static ENGINE_METRICS: LazyLock<EngineMetrics> = LazyLock::new(|| EngineMetrics 
     cancelled: selc_obs::metrics::counter("engine.cancelled"),
     summary_exact_installs: selc_obs::metrics::counter("engine.summary_exact_installs"),
     summary_bound_installs: selc_obs::metrics::counter("engine.summary_bound_installs"),
+    state_merges: selc_obs::metrics::counter("tree.state_merges"),
 });
 
 /// Folds one finished search into the global counters; no-op when
@@ -67,6 +69,7 @@ pub(crate) fn record_search_metrics(stats: &SearchStats, aborted: bool) {
     }
     m.summary_exact_installs.add(stats.summary.exact_installs);
     m.summary_bound_installs.add(stats.summary.bound_installs);
+    m.state_merges.add(stats.summary.state_merges);
 }
 
 /// How an engine asks for the loss of one candidate.

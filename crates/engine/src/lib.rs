@@ -66,4 +66,4 @@ pub use engine::{
 pub use queue::WorkQueue;
 pub use replay::{search_programs, CacheStatsSink, SelEval};
 pub use threads::{configured_threads, THREADS_ENV};
-pub use tree::{SummaryProbe, TreeEngine, TreeEval, TreeStep};
+pub use tree::{StateKey, SummaryProbe, TreeEngine, TreeEval, TreeStep};

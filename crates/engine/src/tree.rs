@@ -38,6 +38,19 @@
 //!   starts the shared bound from the best previously-achieved loss so
 //!   repeats prune from the first node. `SELC_SUMMARIES=0` turns all of
 //!   it off (see [`selc_cache::env::summaries_enabled`]).
+//! * **State merging inside each work item** — a node whose
+//!   [`StateKey`] equals one already fully evaluated in the same work
+//!   item has a bit-identical subtree (the key names everything its
+//!   future can read), so the walk takes that subtree's answer instead
+//!   of expanding it: backward induction over states, not prefixes. The
+//!   memo holds only exact subtrees, as `(loss, index − (bits <<
+//!   (depth − len)), lower bound)`, rebased onto each new prefix; a hit
+//!   feeds the shared bound and installs the ordinary prefix-keyed exact
+//!   summary, so warm repeats still answer from the summary table. Each
+//!   claimed item starts an empty memo, so every counter of a search is
+//!   the same whatever order its workers claim items in. Merging rides
+//!   the `summaries` switch: [`TreeEngine::sequential`] and
+//!   `SELC_SUMMARIES=0` walk the full tree.
 //!
 //! # Determinism
 //!
@@ -59,6 +72,7 @@ use crate::threads::configured_threads;
 use selc::OrderedLoss;
 use selc_cache::{CacheStats, SubtreeSummary, SummaryStats};
 use selc_obs::{trace, SpanLabel};
+use std::collections::HashMap;
 
 /// Span label for one claimed subtree's depth-first descent; the span
 /// argument is the subtree's prefix bits, so a trace row shows *which*
@@ -131,6 +145,25 @@ impl<L> From<SubtreeSummary<L>> for SummaryProbe<L> {
     }
 }
 
+/// The merge key a tree node carries: a word encoding of everything the
+/// node's subtree can depend on besides its position's length.
+///
+/// Two nodes at the same length whose keys are equal must have
+/// identical subtrees: the same leaves, with the same losses and the
+/// same number of decisions used, at the same positions relative to the
+/// node. The engine then evaluates one of them and reuses its answer for
+/// the other (see the module docs). A key that leaves out something the
+/// future reads is unsound, so the default is "no key": the node is
+/// always expanded.
+pub trait StateKey {
+    /// The node's key, or `None` when it has none.
+    fn state_key(&self) -> Option<&[u64]> {
+        None
+    }
+}
+
+impl StateKey for () {}
+
 /// A tree-shaped candidate space over binary decisions.
 ///
 /// Positions are `(path, len)` pairs: `len` decisions taken, decision `j`
@@ -139,8 +172,9 @@ impl<L> From<SubtreeSummary<L>> for SummaryProbe<L> {
 /// bounded by 62 (indices are `u64`/`usize` bit vectors).
 pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     /// A materialised interior node. Need not be `Send`: nodes live and
-    /// die on the worker that entered the subtree.
-    type Node;
+    /// die on the worker that entered the subtree. Its [`StateKey`] lets
+    /// the walk merge equal states (summaries on only).
+    type Node: StateKey;
 
     /// The decision depth of the space (`2^depth` flat candidates).
     fn depth(&self) -> u32;
@@ -496,8 +530,12 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
             let Some((i, _)) = claimed else { break };
             let bits = items[i];
             let _span = trace::span(&SUBTREE_SPAN, bits);
+            // One memo per claimed item: what one item merges never
+            // depends on what another worker claimed before it.
+            let mut memo = Memo::default();
             // The prefix walk already probed this position's summary.
-            let sub = self.dfs(self.eval.enter(bits, split), bits, split, true, &mut tally);
+            let sub =
+                self.dfs(self.eval.enter(bits, split), bits, split, true, &mut memo, &mut tally);
             done.push((i, sub));
             if tally.aborted {
                 break;
@@ -578,12 +616,14 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
     /// DFS from `step`, which sits at position `(bits, len)`; returns
     /// the subtree's reduction. `probed` says the position's summary was
     /// already probed (by the prefix walk), so the DFS does not ask twice.
+    /// `memo` holds the exact subtrees of this work item by state.
     fn dfs(
         &self,
         step: TreeStep<T::Node, L>,
         bits: u64,
         len: u32,
         probed: bool,
+        memo: &mut Memo<L>,
         tally: &mut Tally,
     ) -> Sub<L> {
         match step {
@@ -626,6 +666,10 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                         return sub;
                     }
                 }
+                let key = if self.summaries { node.state_key() } else { None };
+                if let Some(merged) = key.and_then(|k| memo.get(len, k)) {
+                    return self.merge(merged, bits, len, tally);
+                }
                 if self.prune && self.eval.hint_is_lower_bound() {
                     if let Some(h) = &hint {
                         if self.bound.dominated(h) {
@@ -653,17 +697,43 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                 } else {
                     [(t_step, t_bits), (f_step, f_bits)]
                 };
-                let a = self.dfs(first, first_bits, len + 1, false, tally);
+                let a = self.dfs(first, first_bits, len + 1, false, memo, tally);
                 let b = if tally.aborted {
                     // Unwind without touching the sibling: its expansion
                     // already happened (cheap), but its subtree has not.
                     Sub::hole()
                 } else {
-                    self.dfs(second, second_bits, len + 1, false, tally)
+                    self.dfs(second, second_bits, len + 1, false, memo, tally)
                 };
-                self.join(a, b, bits, len, tally)
+                let sub = self.join(a, b, bits, len, tally);
+                if let (Some(key), true) = (key, sub.exact) {
+                    memo.insert(len, key, &sub, bits << (self.depth - len));
+                }
+                sub
             }
         }
+    }
+
+    /// Answers the node at `(bits, len)` from an equal state's exact
+    /// subtree: rebases the winner onto this prefix, feeds the bound as
+    /// an exact summary hit would, and installs this position's own
+    /// exact summary, so a warm repeat finds it by prefix.
+    fn merge(&self, merged: &Merged<L>, bits: u64, len: u32, tally: &mut Tally) -> Sub<L> {
+        tally.summary.state_merges += 1;
+        let base = bits << (self.depth - len);
+        let best = merged.best.clone().map(|(loss, residual)| (loss, (base + residual) as usize));
+        if let Some((loss, index)) = &best {
+            if self.prune {
+                self.bound.observe(loss);
+            }
+            self.eval.install_summary(
+                bits,
+                len,
+                SubtreeSummary::exact(loss.clone(), *index as u64),
+            );
+            tally.summary.exact_installs += 1;
+        }
+        Sub { best, lb: merged.lb.clone(), exact: true }
     }
 
     /// Joins sibling subtrees into their parent at `(bits, len)` and
@@ -708,6 +778,41 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
     }
 }
 
+/// An exact subtree as the memo keeps it: its winner with the index
+/// relative to the subtree's first flat index, and its lower bound.
+struct Merged<L> {
+    best: Option<(L, u64)>,
+    lb: Option<L>,
+}
+
+/// One work item's exact subtrees by `(len, state key)`: one map per
+/// length, so a lookup borrows the node's key instead of copying it.
+struct Memo<L> {
+    by_len: Vec<HashMap<Box<[u64]>, Merged<L>>>,
+}
+
+impl<L> Default for Memo<L> {
+    fn default() -> Memo<L> {
+        Memo { by_len: Vec::new() }
+    }
+}
+
+impl<L: Clone> Memo<L> {
+    fn get(&self, len: u32, key: &[u64]) -> Option<&Merged<L>> {
+        self.by_len.get(len as usize)?.get(key)
+    }
+
+    /// Records the exact subtree `sub`, whose first flat index is `base`.
+    fn insert(&mut self, len: u32, key: &[u64], sub: &Sub<L>, base: u64) {
+        let len = len as usize;
+        if self.by_len.len() <= len {
+            self.by_len.resize_with(len + 1, HashMap::new);
+        }
+        let best = sub.best.as_ref().map(|(loss, index)| (loss.clone(), *index as u64 - base));
+        self.by_len[len].insert(key.into(), Merged { best, lb: sub.lb.clone() });
+    }
+}
+
 /// The ordering estimate of a child step: a leaf's final loss, a node's
 /// hint.
 fn estimate<N, L>(step: &TreeStep<N, L>) -> Option<&L> {
@@ -723,6 +828,9 @@ mod tests {
     use super::*;
     use crate::engine::{minimize, SequentialEngine};
     use std::sync::Mutex;
+
+    /// Test nodes are bare positions: no state key, never merged.
+    impl StateKey for (u64, u32) {}
 
     /// A synthetic full-depth tree over a flat loss table: node = prefix,
     /// leaf loss = table[path], hints = prefix minimum (a true lower
@@ -1135,6 +1243,124 @@ mod tests {
         assert_eq!((third.index, third.loss), (flat.index, flat.loss));
         assert_eq!(third.stats.summary.exact_hits, 1, "stats: {:?}", third.stats);
         assert_eq!(third.stats.evaluated, 0);
+    }
+
+    /// A decision process with a small state: the running cost and a
+    /// residue the next step's cost depends on. The node key is exactly
+    /// that state, so equal keys have equal subtrees — the engine's
+    /// merge contract — and many prefixes collide.
+    struct Automaton {
+        depth: u32,
+        table: Mutex<std::collections::HashMap<(u64, u32), SubtreeSummary<f64>>>,
+    }
+
+    struct StateNode {
+        residue: u64,
+        cost: f64,
+        key: [u64; 2],
+    }
+
+    impl StateKey for StateNode {
+        fn state_key(&self) -> Option<&[u64]> {
+            Some(&self.key)
+        }
+    }
+
+    impl Automaton {
+        fn node(&self, residue: u64, cost: f64, len: u32) -> TreeStep<StateNode, f64> {
+            if len == self.depth {
+                return TreeStep::Leaf { loss: cost, used: len };
+            }
+            TreeStep::Node {
+                node: StateNode { residue, cost, key: [residue, cost.to_bits()] },
+                hint: None,
+            }
+        }
+
+        fn step(residue: u64, cost: f64, decision: bool) -> (u64, f64) {
+            let d = u64::from(!decision);
+            ((residue * 3 + d + 1) % 4, cost + ((residue + 2 * d) % 3) as f64)
+        }
+
+        /// The flat loss of candidate `index`, straight from the rule.
+        fn flat(&self, index: usize) -> f64 {
+            let (mut residue, mut cost) = (0, 0.0);
+            for j in (0..self.depth).rev() {
+                (residue, cost) = Automaton::step(residue, cost, (index >> j) & 1 == 0);
+            }
+            cost
+        }
+    }
+
+    impl TreeEval<f64> for Automaton {
+        type Node = StateNode;
+        fn depth(&self) -> u32 {
+            self.depth
+        }
+        fn enter(&self, prefix: u64, len: u32) -> TreeStep<StateNode, f64> {
+            let (mut residue, mut cost) = (0, 0.0);
+            for j in (0..len).rev() {
+                (residue, cost) = Automaton::step(residue, cost, (prefix >> j) & 1 == 0);
+            }
+            self.node(residue, cost, len)
+        }
+        fn child(
+            &self,
+            node: &StateNode,
+            decision: bool,
+            _path: u64,
+            len: u32,
+        ) -> TreeStep<StateNode, f64> {
+            let (residue, cost) = Automaton::step(node.residue, node.cost, decision);
+            self.node(residue, cost, len)
+        }
+        fn probe_summary(&self, bits: u64, len: u32) -> SummaryProbe<f64> {
+            self.table
+                .lock()
+                .unwrap()
+                .get(&(bits, len))
+                .map_or(SummaryProbe::Miss, |s| SummaryProbe::from(*s))
+        }
+        fn install_summary(&self, bits: u64, len: u32, summary: SubtreeSummary<f64>) {
+            self.table.lock().unwrap().insert((bits, len), summary);
+        }
+    }
+
+    #[test]
+    fn equal_states_merge_and_keep_the_winner_bit_identical() {
+        let depth = 12;
+        let automaton = || Automaton { depth, table: Mutex::new(Default::default()) };
+        let reference = automaton();
+        let flat =
+            minimize(&SequentialEngine::exhaustive(), 1 << depth, |i| reference.flat(i)).unwrap();
+        for engine in [
+            TreeEngine::sequential(),
+            TreeEngine { threads: 1, prune: false, split: 0, summaries: true },
+            TreeEngine { threads: 1, prune: true, split: 0, summaries: true },
+            TreeEngine { threads: 2, prune: false, split: 3, summaries: true },
+            TreeEngine { threads: 3, prune: true, split: 2, summaries: true },
+        ] {
+            let eval = automaton();
+            let cold = engine.search(&eval).unwrap();
+            assert_eq!(
+                (cold.index, cold.loss.to_bits()),
+                (flat.index, flat.loss.to_bits()),
+                "{engine:?}"
+            );
+            if engine.summaries {
+                assert!(cold.stats.summary.state_merges > 0, "{engine:?}: {:?}", cold.stats);
+                assert!(cold.stats.evaluated < 1 << depth, "{engine:?}: {:?}", cold.stats);
+                // Merged nodes installed their prefix summaries, so the
+                // warm repeat is one probe at the root.
+                let warm = engine.search(&eval).unwrap();
+                assert_eq!((warm.index, warm.loss.to_bits()), (flat.index, flat.loss.to_bits()));
+                assert_eq!(warm.stats.summary.exact_hits, 1, "{engine:?}: {:?}", warm.stats);
+                assert_eq!(warm.stats.evaluated, 0);
+            } else {
+                assert_eq!(cold.stats.evaluated, 1 << depth, "the oracle walks every leaf");
+                assert_eq!(cold.stats.summary.state_merges, 0);
+            }
+        }
     }
 
     #[test]

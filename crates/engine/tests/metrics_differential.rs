@@ -13,7 +13,9 @@
 //! tests serialise on one lock and flip recording explicitly rather
 //! than racing the unit suites in another binary's process.
 
-use selc_engine::{minimize, ParallelEngine, SequentialEngine};
+use selc_engine::{
+    minimize, ParallelEngine, SequentialEngine, StateKey, TreeEngine, TreeEval, TreeStep,
+};
 use selc_obs::{set_metrics_enabled, MetricsSnapshot};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -86,4 +88,54 @@ fn disabled_metrics_record_exactly_nothing() {
     for name in DETERMINISTIC {
         assert_eq!(delta.counter(name), 0, "{name} recorded while disabled");
     }
+}
+
+/// A depth-8 tree whose state is the number of `false` decisions so far
+/// (the leaf loss), so every level past the first merges.
+struct Counting;
+
+struct Falses([u64; 1]);
+
+impl StateKey for Falses {
+    fn state_key(&self) -> Option<&[u64]> {
+        Some(&self.0)
+    }
+}
+
+impl Counting {
+    fn step(falses: u64, len: u32) -> TreeStep<Falses, f64> {
+        if len == 8 {
+            return TreeStep::Leaf { loss: falses as f64, used: len };
+        }
+        TreeStep::Node { node: Falses([falses]), hint: None }
+    }
+}
+
+impl TreeEval<f64> for Counting {
+    type Node = Falses;
+    fn depth(&self) -> u32 {
+        8
+    }
+    fn enter(&self, prefix: u64, len: u32) -> TreeStep<Falses, f64> {
+        Counting::step(u64::from(prefix.count_ones()), len)
+    }
+    fn child(&self, node: &Falses, decision: bool, _path: u64, len: u32) -> TreeStep<Falses, f64> {
+        Counting::step(node.0[0] + u64::from(!decision), len)
+    }
+}
+
+#[test]
+fn state_merges_are_counted_only_while_metrics_are_on() {
+    let _guard = serial();
+    let engine = TreeEngine { threads: 1, prune: false, split: 0, summaries: true };
+    set_metrics_enabled(true);
+    let (out, on) = recorded(|| engine.search(&Counting).unwrap());
+    set_metrics_enabled(false);
+    assert_eq!((out.index, out.loss), (0, 0.0));
+    // Level l holds l + 1 states out of 2l arrivals; levels 2..8 merge.
+    let merges: u64 = (2..8).map(|l| 2 * l - (l + 1)).sum();
+    assert_eq!(out.stats.summary.state_merges, merges);
+    assert_eq!(on.counter("tree.state_merges"), merges);
+    let (_, off) = recorded(|| engine.search(&Counting).unwrap());
+    assert_eq!(off.counter("tree.state_merges"), 0, "recorded while disabled");
 }

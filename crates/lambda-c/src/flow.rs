@@ -24,6 +24,13 @@
 //! 3. **Static decision-shape analysis.** Choice-point count and depth
 //!    bounds per execution path, feeding `TreeEngine` work-partitioning and
 //!    letting `serve` reject over-deep workloads at validate time.
+//! 4. **Decision-site liveness ([`MergeSites`]).** For each decision
+//!    `OpCall` site whose continuation is fixed by its position in the
+//!    code, the env slots that continuation can read. With them a choice
+//!    point's future is a function of its *state* (site, live values,
+//!    handler parameters, running total, fuel), so the tree walk can merge
+//!    prefixes that reach equal states (see
+//!    [`ChoicePoint::state_key`](crate::machine::ChoicePoint::state_key)).
 //!
 //! # Soundness argument
 //!
@@ -61,10 +68,11 @@
 //! assert_eq!(report.shape.max, Some(6));
 //! ```
 
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::compile::{Code, CompiledProgram};
+use crate::compile::{Code, CodeHandler, CompiledProgram};
 use crate::loss::LossVal;
 use crate::syntax::Const;
 
@@ -362,6 +370,8 @@ pub struct FlowReport {
     pub purity: Purity,
     /// Decision-shape bounds.
     pub shape: DecisionShape,
+    /// The decision sites whose choice points carry a merge key.
+    pub merge: MergeSites,
     certificate: Option<NonNegLosses>,
 }
 
@@ -433,6 +443,7 @@ pub fn analyze_with<S: AsRef<str>>(
         inconclusive: an.inconclusive,
         purity: an.purity,
         shape: out.shape,
+        merge: merge_sites(program, &ops),
         certificate: if certified {
             Some(NonNegLosses { code: program.code.clone() })
         } else {
@@ -863,6 +874,326 @@ impl Analyzer<'_> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Decision-site liveness
+// ---------------------------------------------------------------------------
+
+/// A decision site whose choice points may be merged by state.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MergeSite {
+    /// Dense site number within the program (the first key word).
+    pub id: u32,
+    /// The env slots the site's continuation can read, as de Bruijn
+    /// indices into the site's environment, ascending.
+    pub live: Vec<u32>,
+}
+
+/// The decision `OpCall` sites of one compiled program whose choice
+/// points have a state key, by the address of their `OpCall` node.
+///
+/// A site is listed only when its continuation is fixed by where it sits
+/// in the code: every node between it and the root is evaluated *in
+/// place* — a child of its parent, a `cases` branch, the body of a
+/// lambda applied where it is written (`let`), or a handler's body or
+/// return clause. The continuation then consists of those nodes' pending
+/// frames, whose free variables are the site's live slots, and of the
+/// enclosing handler activations, whose parameters the machine records
+/// at the yield. A site gets no key when it
+///
+/// * sits under `then`, `local` or `reset` (captured or discarded loss
+///   scopes fold around the continuation);
+/// * sits inside a lambda body that is not applied in place, or in a
+///   handler clause (the same code runs under many continuations);
+/// * has a pending frame holding a value that is not syntactic (an
+///   earlier sibling was computed, so its value is history);
+/// * has a live slot statically bound to a closure, probe or resume;
+/// * sits under a handler whose live clause uses its probe `l` at all,
+///   or its resume `k` anywhere but in tail position (the resumed
+///   continuation would then run inside the clause's own frames).
+///
+/// A `let` is `(λx. body) e`: while `e` runs, the pending frame holds
+/// the let-lambda, which is static code over the site's own env. Its
+/// free variables are live slots; the lambda itself is not a live
+/// closure. Values the machine finds at run time that are not ground
+/// (a closure reached through an opaque slot) refuse the key there.
+#[derive(Clone, Debug, Default)]
+pub struct MergeSites {
+    sites: HashMap<usize, MergeSite>,
+}
+
+impl MergeSites {
+    /// The site whose `OpCall` node is at `addr` (`Arc::as_ptr` of the
+    /// node), if it has a key.
+    pub fn get(&self, addr: usize) -> Option<&MergeSite> {
+        self.sites.get(&addr)
+    }
+
+    /// Number of keyed sites.
+    pub fn len(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// True iff no site has a key.
+    pub fn is_empty(&self) -> bool {
+        self.sites.is_empty()
+    }
+}
+
+/// What the walk knows about one env slot.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Possibly ground; the machine checks when it builds a key.
+    Value,
+    /// Statically a closure: a live one refuses the key.
+    Closure,
+}
+
+/// Runs the decision-site liveness pass (see [`MergeSites`]).
+fn merge_sites(program: &CompiledProgram, decision_ops: &[&str]) -> MergeSites {
+    let mut seen = HashSet::new();
+    if !is_tree(&program.code, &mut seen) {
+        // A node reachable by two paths has two continuations.
+        return MergeSites::default();
+    }
+    let mut walk = SiteWalk { decision_ops, sites: MergeSites::default() };
+    walk.walk(&program.code, &mut Vec::new(), &BTreeSet::new());
+    walk.sites
+}
+
+/// True iff no node of `code` is reachable along two paths.
+fn is_tree(code: &Arc<Code>, seen: &mut HashSet<usize>) -> bool {
+    if !seen.insert(Arc::as_ptr(code) as usize) {
+        return false;
+    }
+    let mut ok = true;
+    for_each_child(code, |c, _| ok = ok && is_tree(c, seen));
+    ok
+}
+
+/// Calls `f` on every direct subterm with the binders it adds.
+fn for_each_child(code: &Code, mut f: impl FnMut(&Arc<Code>, usize)) {
+    match code {
+        Code::Const(_) | Code::Var(_) | Code::Zero | Code::Nil(_) => {}
+        Code::Lam(b) => f(b, 1),
+        Code::Prim(_, a)
+        | Code::Proj(a, _)
+        | Code::Inl { e: a, .. }
+        | Code::Inr { e: a, .. }
+        | Code::Succ(a)
+        | Code::Loss(a)
+        | Code::Reset(a)
+        | Code::OpCall { arg: a, .. } => f(a, 0),
+        Code::App(a, b) | Code::Cons(a, b) => {
+            f(a, 0);
+            f(b, 0);
+        }
+        Code::Tuple(es) => es.iter().for_each(|e| f(e, 0)),
+        Code::Cases { scrut, lbody, rbody } => {
+            f(scrut, 0);
+            f(lbody, 1);
+            f(rbody, 1);
+        }
+        Code::Iter(a, b, c) | Code::Fold(a, b, c) => {
+            f(a, 0);
+            f(b, 0);
+            f(c, 0);
+        }
+        Code::Handle { handler, from, body } => {
+            f(from, 0);
+            f(body, 0);
+            handler.clauses.iter().for_each(|c| f(&c.body, 4));
+            f(&handler.ret_body, 2);
+        }
+        Code::Then { e, lam_body } => {
+            f(e, 0);
+            f(lam_body, 1);
+        }
+        Code::Local { g_body, e } => {
+            f(g_body, 1);
+            f(e, 0);
+        }
+    }
+}
+
+/// Adds the free variables of `code` (under `binders` extra binders) to
+/// `out`, as de Bruijn indices relative to `code`'s own environment.
+fn free_vars(code: &Code, binders: usize, out: &mut BTreeSet<usize>) {
+    if let Code::Var(i) = code {
+        if *i >= binders {
+            out.insert(i - binders);
+        }
+        return;
+    }
+    for_each_child(code, |c, b| free_vars(c, binders + b, out));
+}
+
+/// True iff de Bruijn index `var` is free in `code`.
+fn mentions(code: &Code, var: usize) -> bool {
+    let mut fv = BTreeSet::new();
+    free_vars(code, 0, &mut fv);
+    fv.contains(&var)
+}
+
+/// True iff `var` (a clause's `k`) is used only as the callee of an
+/// application in tail position: the clause's result *is* the resumed
+/// run, so nothing of the clause is pending while it runs.
+fn tail_only(code: &Code, var: usize) -> bool {
+    match code {
+        Code::App(f, a) => match &**f {
+            Code::Var(i) if *i == var => !mentions(a, var),
+            Code::Lam(body) => !mentions(a, var) && tail_only(body, var + 1),
+            _ => !mentions(code, var),
+        },
+        Code::Cases { scrut, lbody, rbody } => {
+            !mentions(scrut, var) && tail_only(lbody, var + 1) && tail_only(rbody, var + 1)
+        }
+        _ => !mentions(code, var),
+    }
+}
+
+/// True iff the node is a syntactic value, which the machine evaluates
+/// in place from the environment.
+fn is_syntactic(code: &Code) -> bool {
+    match code {
+        Code::Const(_) | Code::Var(_) | Code::Lam(_) | Code::Zero | Code::Nil(_) => true,
+        Code::Tuple(es) => es.is_empty(),
+        _ => false,
+    }
+}
+
+struct SiteWalk<'a> {
+    decision_ops: &'a [&'a str],
+    sites: MergeSites,
+}
+
+impl SiteWalk<'_> {
+    fn is_decision(&self, op: &str) -> bool {
+        self.decision_ops.contains(&op)
+    }
+
+    /// Adds the free variables of `code` (under `binders`), evaluated in
+    /// an env of `depth` slots, to `needs` as absolute slot positions
+    /// (0 = the outermost binder).
+    fn need(depth: usize, code: &Code, binders: usize, needs: &mut BTreeSet<usize>) {
+        let mut fv = BTreeSet::new();
+        free_vars(code, binders, &mut fv);
+        needs.extend(fv.into_iter().filter(|&i| i < depth).map(|i| depth - 1 - i));
+    }
+
+    /// Whether resuming inside this handler's body leaves no clause frame
+    /// pending: live (non-decision) clauses never use `l` (index 1) and
+    /// use `k` (index 0) only in tail position.
+    fn handler_in_place(&self, h: &CodeHandler) -> bool {
+        h.clauses
+            .iter()
+            .filter(|c| !self.is_decision(&c.op))
+            .all(|c| !mentions(&c.body, 1) && tail_only(&c.body, 0))
+    }
+
+    /// Walks the in-place positions under `code`. `slots` is the env at
+    /// `code`; `needs` holds the slots (absolute positions) that the
+    /// continuation outside `code` can read.
+    fn walk(&mut self, code: &Arc<Code>, slots: &mut Vec<Slot>, needs: &BTreeSet<usize>) {
+        match &**code {
+            // Values run nothing in place; captured and discarded loss
+            // scopes refuse everything beneath them.
+            Code::Const(_) | Code::Var(_) | Code::Lam(_) | Code::Zero | Code::Nil(_) => {}
+            Code::Then { .. } | Code::Local { .. } | Code::Reset(_) => {}
+            Code::OpCall { op, arg } => {
+                self.walk(arg, slots, needs);
+                if self.is_decision(op) {
+                    self.site(code, slots, needs);
+                }
+            }
+            Code::Cases { scrut, lbody, rbody } => {
+                let mut n = needs.clone();
+                Self::need(slots.len(), lbody, 1, &mut n);
+                Self::need(slots.len(), rbody, 1, &mut n);
+                self.walk(scrut, slots, &n);
+                slots.push(Slot::Value);
+                self.walk(lbody, slots, needs);
+                self.walk(rbody, slots, needs);
+                slots.pop();
+            }
+            Code::App(f, a) => {
+                self.children(&[f, a], slots, needs);
+                if let Code::Lam(body) = &**f {
+                    let bound = match &**a {
+                        Code::Lam(_) => Slot::Closure,
+                        Code::Var(i) if *i < slots.len() => slots[slots.len() - 1 - i],
+                        _ => Slot::Value,
+                    };
+                    slots.push(bound);
+                    self.walk(body, slots, needs);
+                    slots.pop();
+                }
+            }
+            Code::Handle { handler, from, body } => {
+                let mut inside = needs.clone();
+                Self::need(slots.len(), &handler.ret_body, 2, &mut inside);
+                for c in &handler.clauses {
+                    if !self.is_decision(&c.op) {
+                        Self::need(slots.len(), &c.body, 4, &mut inside);
+                    }
+                }
+                let mut before = inside.clone();
+                Self::need(slots.len(), body, 0, &mut before);
+                self.walk(from, slots, &before);
+                if self.handler_in_place(handler) {
+                    self.walk(body, slots, &inside);
+                    slots.extend([Slot::Value, Slot::Value]);
+                    self.walk(&handler.ret_body, slots, needs);
+                    slots.truncate(slots.len() - 2);
+                }
+            }
+            Code::Tuple(es) => {
+                let es: Vec<&Arc<Code>> = es.iter().collect();
+                self.children(&es, slots, needs);
+            }
+            Code::Prim(_, a)
+            | Code::Proj(a, _)
+            | Code::Inl { e: a, .. }
+            | Code::Inr { e: a, .. }
+            | Code::Succ(a)
+            | Code::Loss(a) => self.walk(a, slots, needs),
+            Code::Cons(a, b) => self.children(&[a, b], slots, needs),
+            Code::Iter(a, b, c) | Code::Fold(a, b, c) => self.children(&[a, b, c], slots, needs),
+        }
+    }
+
+    /// Walks a node's children, evaluated left to right: while child `i`
+    /// runs, the node's frame holds children `..i` (refused unless all
+    /// are syntactic) and will read the free variables of every other
+    /// child.
+    fn children(&mut self, cs: &[&Arc<Code>], slots: &mut Vec<Slot>, needs: &BTreeSet<usize>) {
+        for (i, c) in cs.iter().enumerate() {
+            if !cs[..i].iter().all(|d| is_syntactic(d)) {
+                return;
+            }
+            let mut n = needs.clone();
+            for (j, d) in cs.iter().enumerate() {
+                if j != i {
+                    Self::need(slots.len(), d, 0, &mut n);
+                }
+            }
+            self.walk(c, slots, &n);
+        }
+    }
+
+    /// Records a decision site with live slots `needs`, unless one of
+    /// them is statically a closure.
+    fn site(&mut self, code: &Arc<Code>, slots: &[Slot], needs: &BTreeSet<usize>) {
+        if needs.iter().any(|&p| slots[p] == Slot::Closure) {
+            return;
+        }
+        let depth = slots.len();
+        let mut live: Vec<u32> = needs.iter().map(|&p| (depth - 1 - p) as u32).collect();
+        live.sort_unstable();
+        let id = self.sites.sites.len() as u32;
+        self.sites.sites.insert(Arc::as_ptr(code) as usize, MergeSite { id, live });
+    }
+}
+
 /// Join of abstract values across branches.
 fn join_val(a: AbsVal, b: AbsVal) -> AbsVal {
     match (a, b) {
@@ -1045,6 +1376,91 @@ mod tests {
         let r = analyze_with(&prog, &gen_signature().decision_ops(), FlowConfig { budget: 10 });
         assert!(r.inconclusive);
         assert!(!r.certified());
+    }
+
+    /// `handle0(argmin, body)` under the decision op `decide`.
+    fn merge_sites_of(body: crate::syntax::Expr) -> MergeSites {
+        use crate::testgen::argmin_handler;
+        let e = handle0(argmin_handler(&Type::loss(), &Effect::empty()), body);
+        analyze_expr(&e, &["decide"]).merge
+    }
+
+    /// `let b = decide() in loss(if b then 1 else 2); tail`.
+    fn decide_then(tail: crate::syntax::Expr) -> crate::syntax::Expr {
+        let eamb = Effect::single("amb");
+        let_(
+            eamb.clone(),
+            "b",
+            Type::bool(),
+            op("decide", unit()),
+            seq(eamb, Type::unit(), loss(if_(v("b"), lc(1.0), lc(2.0))), tail),
+        )
+    }
+
+    #[test]
+    fn every_chain_site_is_keyed_with_no_live_slot() {
+        // The let-lambda pending while each `decide` runs is static code
+        // over the site's env, not a live closure: every site merges.
+        let prog = compile(&deep_decide_chain(6).expr).unwrap();
+        let merge = analyze(&prog, &gen_signature().decision_ops()).merge;
+        assert_eq!(merge.len(), 6);
+        assert!(merge.sites.values().all(|s| s.live.is_empty()), "{merge:?}");
+    }
+
+    #[test]
+    fn a_later_read_of_an_earlier_decision_is_live() {
+        let eamb = Effect::single("amb");
+        // let a = decide() in let b = decide() in loss(if a then 1 else 2)
+        let body = let_(
+            eamb.clone(),
+            "a",
+            Type::bool(),
+            op("decide", unit()),
+            let_(
+                eamb,
+                "b",
+                Type::bool(),
+                op("decide", unit()),
+                loss(if_(v("a"), lc(1.0), lc(2.0))),
+            ),
+        );
+        let merge = merge_sites_of(body);
+        let mut lives: Vec<Vec<u32>> = merge.sites.values().map(|s| s.live.clone()).collect();
+        lives.sort();
+        // The first site reads nothing later; the second reads `a`,
+        // index 0 of its env.
+        assert_eq!(lives, vec![vec![], vec![0]]);
+    }
+
+    #[test]
+    fn a_site_under_then_gets_no_key() {
+        let e0 = Effect::single("amb");
+        assert_eq!(merge_sites_of(decide_then(lc(0.0))).len(), 1);
+        let captured = then(decide_then(lc(0.0)), e0, "x", Type::loss(), v("x"));
+        assert!(merge_sites_of(captured).is_empty());
+    }
+
+    #[test]
+    fn a_site_with_a_live_closure_gets_no_key() {
+        let e0 = Effect::single("amb");
+        // let f = λx. x + 1 in (decide; f(1)): `f` is live at the site.
+        let f = lam(Effect::empty(), "x", Type::loss(), add(v("x"), lc(1.0)));
+        let uses_f = app(v("f"), lc(1.0));
+        let fn_ty = Type::fun(Type::loss(), Type::loss(), Effect::empty());
+        let body = let_(e0.clone(), "f", fn_ty.clone(), f.clone(), decide_then(uses_f));
+        assert!(merge_sites_of(body).is_empty());
+        // The same closure bound but dead at the site: keyed.
+        let dead = let_(e0, "f", fn_ty, f, decide_then(lc(0.0)));
+        assert_eq!(merge_sites_of(dead).len(), 1);
+    }
+
+    #[test]
+    fn a_site_inside_a_lambda_not_applied_in_place_gets_no_key() {
+        let e0 = Effect::single("amb");
+        let g = lam(e0.clone(), "u", Type::unit(), decide_then(lc(0.0)));
+        let fn_ty = Type::fun(Type::unit(), Type::loss(), e0.clone());
+        let body = let_(e0, "g", fn_ty, g, app(v("g"), unit()));
+        assert!(merge_sites_of(body).is_empty());
     }
 
     #[test]

@@ -373,6 +373,14 @@ struct StuckM {
     /// (`MVal::bool`), so every enclosing frame — handlers included —
     /// must forward it untouched to the top of the run.
     choice: bool,
+    /// Where the operation was called: the `OpCall` node's address and
+    /// its environment, for [`ChoicePoint::state_key`].
+    site: usize,
+    env: Env,
+    /// A choice yield's handler parameters, innermost first: each
+    /// activation it passes on its way out adds the parameter current
+    /// at the yield.
+    params: Vec<MVal>,
 }
 
 #[derive(Clone)]
@@ -572,6 +580,11 @@ pub enum Explored {
 pub struct ChoicePoint {
     cont: KCont,
     state: Machine,
+    /// The deciding `OpCall` node's address and environment, and the
+    /// enclosing handlers' parameters (innermost first).
+    site: usize,
+    env: Env,
+    params: Vec<MVal>,
 }
 
 impl fmt::Debug for ChoicePoint {
@@ -607,11 +620,81 @@ impl ChoicePoint {
         let r = (self.cont)(&mut m, MVal::bool(decision), &mut Vec::new())?;
         Ok(finish_explored(m, r))
     }
+
+    /// The point's merge key under `sites` (the flow analysis of the
+    /// program that produced it), or `None` when its site has no key or
+    /// a live value is not ground.
+    ///
+    /// Two points of one run configuration at the same depth with equal
+    /// keys resume identically under every decision sequence: the key
+    /// holds the site (which fixes the code of every pending frame, see
+    /// [`crate::flow::MergeSites`]), the ground encoding of each live env
+    /// slot and of each enclosing handler's parameter, the bits of every
+    /// component of the running total, the loss-scope depth and the
+    /// remaining fuel. With the fuel in the key a merged subtree cannot
+    /// hide an out-of-fuel failure the full walk would hit.
+    pub fn state_key(&self, sites: &crate::flow::MergeSites) -> Option<Box<[u64]>> {
+        let site = sites.get(self.site)?;
+        let total = &self.state.total.0;
+        let mut key =
+            Vec::with_capacity(5 + total.len() + 2 * (site.live.len() + self.params.len()));
+        key.extend([
+            u64::from(site.id),
+            self.state.fuel_left,
+            u64::from(self.state.capture_depth),
+            total.len() as u64,
+        ]);
+        key.extend(total.iter().map(|x| x.to_bits()));
+        key.push(self.params.len() as u64);
+        for p in &self.params {
+            encode_ground(p, &mut key)?;
+        }
+        for &i in &site.live {
+            encode_ground(self.env.get(i as usize)?, &mut key)?;
+        }
+        Some(key.into_boxed_slice())
+    }
+}
+
+/// Appends a prefix-free word encoding of a first-order value (tag word,
+/// lengths, payload); `None` for closures and handler continuations.
+/// Type annotations are left out: they never change a loss.
+fn encode_ground(v: &MVal, out: &mut Vec<u64>) -> Option<()> {
+    match v {
+        MVal::Loss(l) => {
+            out.extend([1, l.0.len() as u64]);
+            out.extend(l.0.iter().map(|x| x.to_bits()));
+        }
+        MVal::Char(c) => out.extend([2, u64::from(*c)]),
+        MVal::Str(s) => {
+            out.extend([3, s.chars().count() as u64]);
+            out.extend(s.chars().map(u64::from));
+        }
+        MVal::Nat(n) => out.extend([4, *n]),
+        MVal::Tuple(vs) | MVal::List { items: vs, .. } => {
+            out.extend([if matches!(v, MVal::Tuple(_)) { 5 } else { 6 }, vs.len() as u64]);
+            for v in vs {
+                encode_ground(v, out)?;
+            }
+        }
+        MVal::Sum { right, val, .. } => {
+            out.push(7 + u64::from(*right));
+            encode_ground(val, out)?;
+        }
+        MVal::Clos(_) | MVal::Probe(_) | MVal::Resume(_) => return None,
+    }
+    Some(())
 }
 
 fn finish_explored(m: Machine, r: MRes) -> Explored {
     match r {
-        MRes::Stuck(s) if s.choice => Explored::Choice(ChoicePoint { cont: s.cont, state: m }),
+        MRes::Stuck(s) if s.choice => Explored::Choice(ChoicePoint {
+            cont: s.cont,
+            state: m,
+            site: s.site,
+            env: s.env,
+            params: s.params,
+        }),
         r => Explored::Done(outcome_of(m, r)),
     }
 }
@@ -654,7 +737,7 @@ fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: KCont) -> EvalR {
                 let r = inner(m, y, buf)?;
                 bind(m, r, buf, rest.clone())
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
@@ -814,7 +897,15 @@ fn finish_node(
         },
         (Code::OpCall { op, .. }, arg) => {
             let cont: KCont = Rc::new(|_m, y, _buf| Ok(MRes::Done(y)));
-            return Ok(MRes::Stuck(StuckM { op: op.clone(), arg, cont, choice: false }));
+            return Ok(MRes::Stuck(StuckM {
+                op: op.clone(),
+                arg,
+                cont,
+                choice: false,
+                site: std::ptr::from_ref(node) as usize,
+                env: env.clone(),
+                params: Vec::new(),
+            }));
         }
         (Code::Loss(_), MVal::Loss(l)) => {
             m.emit(buf, l)?;
@@ -903,7 +994,7 @@ fn reset_finish(_m: &mut Machine, r: MRes) -> EvalR {
                 m.capture_depth -= 1;
                 reset_finish(m, r?)
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
@@ -926,7 +1017,7 @@ fn then_finish(m: &mut Machine, r: MRes, cap: Vec<LossVal>, lam: GVal, buf: &mut
                 m.capture_depth -= 1;
                 then_finish(m, r?, cap2, lam.clone(), buf)
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
@@ -949,7 +1040,7 @@ fn fold_finish(_m: &mut Machine, gr: MRes, cap: Vec<LossVal>) -> EvalR {
                 let r = inner(m, y, buf)?;
                 fold_finish(m, r, cap.clone())
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
@@ -1029,13 +1120,16 @@ fn run_seg(
             let ret_body = Arc::clone(&act.h.ret_body);
             eval(m, &ret_body, &env, g, buf)
         }
-        MRes::Stuck(s) => {
+        MRes::Stuck(mut s) => {
             let Some(clause) = act.h.clause(&s.op).filter(|_| !s.choice) else {
                 // Not ours (or an already-claimed choice yield): forward,
                 // re-entering this segment (with the parameter current at
                 // the stick) on resumption.
+                if s.choice {
+                    s.params.push(p.clone());
+                }
                 let cont = reenter(act, p, g, s.cont);
-                return Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }));
+                return Ok(MRes::Stuck(StuckM { cont, ..s }));
             };
             // Forced-choice interception: answer scripted decisions
             // directly (`k(p, d)`), skipping the clause body; in tree
@@ -1051,8 +1145,9 @@ fn run_seg(
                     // segment with the (later-supplied) decision, and
                     // propagates out past every enclosing handler.
                     Decision::Yield => {
+                        s.params.push(p.clone());
                         let cont = reenter(act, p, g, s.cont);
-                        Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: true }))
+                        Ok(MRes::Stuck(StuckM { cont, choice: true, ..s }))
                     }
                 },
                 _ => {

@@ -63,4 +63,4 @@ pub use search::{
     search_compiled_flat, search_compiled_flat_cached, CompiledEval, LcEntry, LcTransCache,
     SUMMARY_TAG,
 };
-pub use tree::{search_compiled, search_compiled_cached, LcTreeEval};
+pub use tree::{search_compiled, search_compiled_cached, LcNode, LcTreeEval};

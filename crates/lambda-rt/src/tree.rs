@@ -26,6 +26,17 @@
 //!   flat path threads through `explore`/`resume`; its accumulated
 //!   partial snapshots with the machine, so each branch prunes against
 //!   its own path total (see `lambda_c::machine`).
+//! * **State merging.** Each node ([`LcNode`]) carries the choice
+//!   point's merge key, built when the point is created from the
+//!   program's [`lambda_c::flow::MergeSites`] (see
+//!   [`ChoicePoint::state_key`]): site, live env values, handler
+//!   parameters, running total and remaining fuel. The engine expands
+//!   the first node of each state in a work item and answers equal ones
+//!   from its exact subtree, so a cold `Chain{10}` walked by one worker
+//!   scores 24 leaves, not 1 024. The key never enters the shared
+//!   [`LcTransCache`]: the tables keep their prefix keys, and merged
+//!   nodes install the same prefix-keyed summaries an expanded node
+//!   would.
 //! * **Determinism.** Leaves report `(total loss, decisions used)` and
 //!   the engine credits each to its smallest flat index, so the tree
 //!   winner is bit-identical — loss *and* index, ties included — to the
@@ -38,7 +49,7 @@ use lambda_c::flow::NonNegLosses;
 use lambda_c::machine::{ChoicePoint, Explored, MachinePrune};
 use lambda_c::MachError;
 use selc_cache::{CacheStats, SubtreeSummary};
-use selc_engine::tree::{SummaryProbe, TreeEngine, TreeEval, TreeStep};
+use selc_engine::tree::{StateKey, SummaryProbe, TreeEngine, TreeEval, TreeStep};
 use selc_engine::Outcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
@@ -51,6 +62,20 @@ static MACHINE_LEAVES: LazyLock<selc_obs::Counter> =
     LazyLock::new(|| selc_obs::metrics::counter("lc.machine_leaves"));
 static LEAF_CACHE_HITS: LazyLock<selc_obs::Counter> =
     LazyLock::new(|| selc_obs::metrics::counter("lc.leaf_cache_hits"));
+
+/// A node of [`LcTreeEval`]'s walk: the suspended machine and its merge
+/// key, built from the program's [`lambda_c::flow::MergeSites`] when the
+/// point is created.
+pub struct LcNode {
+    point: ChoicePoint,
+    key: Option<Box<[u64]>>,
+}
+
+impl StateKey for LcNode {
+    fn state_key(&self) -> Option<&[u64]> {
+        self.key.as_deref()
+    }
+}
 
 /// A [`TreeEval`] that walks a compiled program's decision tree through
 /// machine snapshots, with the optional shared transposition table and
@@ -115,13 +140,14 @@ impl<'c> LcTreeEval<'c> {
         r: Result<Explored, MachError>,
         path: u64,
         len: u32,
-    ) -> TreeStep<ChoicePoint, OrdLossVal> {
+    ) -> TreeStep<LcNode, OrdLossVal> {
         match r {
             Err(_) => TreeStep::Pruned, // only `Pruned` survives the contract
             Ok(Explored::Choice(point)) => {
                 debug_assert_eq!(point.depth(), len, "choice points sit at their position");
                 let hint = Some(OrdLossVal(point.partial_loss().clone()));
-                TreeStep::Node { node: point, hint }
+                let key = point.state_key(&self.cands.flow_report().merge);
+                TreeStep::Node { node: LcNode { point, key }, hint }
             }
             Ok(Explored::Done(out)) => {
                 MACHINE_LEAVES.inc();
@@ -146,13 +172,13 @@ impl<'c> LcTreeEval<'c> {
 }
 
 impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
-    type Node = ChoicePoint;
+    type Node = LcNode;
 
     fn depth(&self) -> u32 {
         self.cands.depth()
     }
 
-    fn enter(&self, prefix: u64, len: u32) -> TreeStep<ChoicePoint, OrdLossVal> {
+    fn enter(&self, prefix: u64, len: u32) -> TreeStep<LcNode, OrdLossVal> {
         // A terminated run is keyed by the decisions it consumed; probe
         // the observed depths ≤ len (ascending — at most one can hit, by
         // machine determinism) before paying for the replay.
@@ -179,11 +205,11 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
 
     fn child(
         &self,
-        node: &ChoicePoint,
+        node: &LcNode,
         decision: bool,
         path: u64,
         len: u32,
-    ) -> TreeStep<ChoicePoint, OrdLossVal> {
+    ) -> TreeStep<LcNode, OrdLossVal> {
         // The only entry a child position can answer from is one keyed at
         // exactly `(len, path)` — a shallower hit would have resolved at
         // an ancestor, a deeper one is not determined yet. Probe only
@@ -201,7 +227,7 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
                 }
             }
         }
-        self.advance(enforce_replay_contract(node.resume(decision), path, len), path, len)
+        self.advance(enforce_replay_contract(node.point.resume(decision), path, len), path, len)
     }
 
     fn hint_is_lower_bound(&self) -> bool {
@@ -316,6 +342,54 @@ mod tests {
             );
             assert_eq!(v, value, "{engine:?}");
         }
+    }
+
+    /// The distinct running totals of `deep_decide_chain(choices)` after
+    /// each number of decisions, folded in emission order like the
+    /// machine's ambient total. The chain's continuation reads no earlier
+    /// decision, so (depth, total) is its whole decision state.
+    fn chain_totals(choices: u32) -> Vec<std::collections::BTreeSet<u64>> {
+        let mut levels = vec![std::collections::BTreeSet::from([0.0f64.to_bits()])];
+        for i in 0..choices {
+            let (t, f) = (f64::from((7 * i) % 5), f64::from((3 * i + 2) % 5));
+            let next = levels[i as usize]
+                .iter()
+                .flat_map(|&s| [f64::from_bits(s) + t, f64::from_bits(s) + f])
+                .map(f64::to_bits)
+                .collect();
+            levels.push(next);
+        }
+        levels
+    }
+
+    #[test]
+    fn one_worker_cold_chain_expands_each_distinct_state_once() {
+        let choices = 10;
+        let cands = chain_candidates(choices);
+        let (flat, _) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let totals = chain_totals(choices);
+        let interior = &totals[..choices as usize];
+        // Each distinct state at the last decision is expanded once and
+        // scores its two leaves; every other arrival at a known state is
+        // merged.
+        let leaves = 2 * interior[choices as usize - 1].len() as u64;
+        let arrivals: usize = interior[..choices as usize - 1].iter().map(|s| 2 * s.len()).sum();
+        let distinct: usize = interior[1..].iter().map(std::collections::BTreeSet::len).sum();
+        let merges = (arrivals - distinct) as u64;
+        let engine = TreeEngine { threads: 1, prune: false, split: 0, summaries: true };
+        let cache = LcTransCache::unbounded(4);
+        let (out, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
+        assert_eq!((out.index, out.loss.clone()), (flat.index, flat.loss.clone()));
+        assert_eq!(out.stats.evaluated, leaves, "stats: {:?}", out.stats);
+        assert_eq!(out.stats.summary.state_merges, merges, "stats: {:?}", out.stats);
+        // Without a table the memo still merges: it is the walk's own.
+        let (bare, _) = search_compiled(&engine, &cands).unwrap();
+        assert_eq!(bare.stats.evaluated, leaves);
+        // The sequential oracle walks every leaf.
+        let (full, _) = search_compiled(&TreeEngine::sequential(), &cands).unwrap();
+        assert_eq!((full.index, full.loss.clone()), (flat.index, flat.loss));
+        assert_eq!(full.stats.evaluated, 1 << choices);
+        assert_eq!(full.stats.summary.state_merges, 0);
     }
 
     #[test]

@@ -130,8 +130,75 @@ fn shallow_paths_share_their_representative_index() {
     assert_tree_equals_flat(&cands, "pgm at depth 5");
 }
 
+/// A chain whose step `i ≥ 1` emits `if b_i then (if b_j then hi else
+/// lo) else other` for an earlier decision `b_j`, after a step 0 that
+/// emits `first(b_0)`. `steps[i] = (j, hi, lo, other)`; step 0 uses
+/// `(hi, lo)` as its true/false losses. Later losses read an earlier
+/// decision, so prefixes reaching equal running totals are *not* equal
+/// states: a merge keyed on `(depth, total)` alone picks wrong winners.
+fn reads_earlier_decisions(steps: &[(usize, f64, f64, f64)]) -> LcCandidates {
+    use lambda_c::build::*;
+    let eamb = Effect::single("amb");
+    let mut body = lc(0.0);
+    for (i, &(j, hi, lo, other)) in steps.iter().enumerate().rev() {
+        let b = format!("b{i}");
+        let emitted = if i == 0 {
+            if_(v(&b), lc(hi), lc(lo))
+        } else {
+            if_(v(&b), if_(v(&format!("b{j}")), lc(hi), lc(lo)), lc(other))
+        };
+        body = let_(
+            eamb.clone(),
+            &b,
+            Type::bool(),
+            op("decide", unit()),
+            seq(eamb.clone(), Type::unit(), loss(emitted), body),
+        );
+    }
+    let e = handle0(testgen::argmin_handler(&Type::loss(), &Effect::empty()), body);
+    LcCandidates::new(compile(&e).unwrap(), ["decide".to_owned()], steps.len() as u32)
+}
+
+/// Both `b0` prefixes emit 1, so they reach equal (depth, total) — but
+/// step 2 reads `b0`, and the winners beneath differ. The flat winner is
+/// (index 2, loss 1); a merge on (depth, total) alone answers the `false`
+/// prefix with the `true` prefix's subtree and returns (index 1, loss 4).
+#[test]
+fn equal_totals_with_a_live_earlier_decision_are_not_merged() {
+    let cands = reads_earlier_decisions(&[(0, 1.0, 1.0, 0.0), (0, 5.0, 0.0, 3.0)]);
+    let (flat, _) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+    assert_eq!((flat.index, flat.loss.0.clone()), (2, LossVal::scalar(1.0)));
+    assert_tree_equals_flat(&cands, "adversarial merge");
+    for engine in tree_engines() {
+        let (out, _) = search_compiled(&engine, &cands).unwrap();
+        assert_eq!(out.stats.summary.state_merges, 0, "{engine:?}: no state is shared");
+    }
+}
+
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(12))]
+
+    /// Random chains whose every later step reads an earlier decision,
+    /// with small integer losses so equal totals (and ties) abound.
+    #[test]
+    fn tree_equals_flat_when_later_steps_read_earlier_decisions(
+        seed in 0u64..1_000_000,
+        choices in 2u32..6,
+    ) {
+        let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let steps: Vec<(usize, f64, f64, f64)> = (0..choices as usize)
+            .map(|i| {
+                let j = if i == 0 { 0 } else { next(i as u64) as usize };
+                (j, next(4) as f64, next(4) as f64, next(4) as f64)
+            })
+            .collect();
+        let cands = reads_earlier_decisions(&steps);
+        assert_tree_equals_flat(&cands, &format!("steps {steps:?}"));
+    }
 
     /// Randomised corpus sweep (kept small: the flat reference replays
     /// 2^choices machine runs per configuration in debug builds).
